@@ -12,8 +12,23 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 
+def _load_spec(text: str, kind: str, fields: Mapping[str, type], **defaults) -> dict:
+    """Parse a JSON object whose ``fields`` hold the given types; ``defaults`` fill absent ones."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} spec must be a JSON object")
+    data = {**defaults, **data}
+    for key, typ in fields.items():
+        if not isinstance(data.get(key), typ):
+            raise ValueError(f'{kind} spec needs a "{key}" field of type {typ.__name__}')
+    return data
+
+
 def _as_occupancy(w) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    w = tuple(tuple(int(x) for x in row) for row in w)
+    try:
+        w = tuple(tuple(int(x) for x in row) for row in w)
+    except TypeError:
+        raise ValueError("occupancy must be a 2 x K matrix of integers") from None
     if len(w) != 2 or len(w[0]) != len(w[1]):
         raise ValueError("occupancy must be a 2 x K matrix")
     if any(x < 0 for row in w for x in row):
@@ -92,15 +107,6 @@ class PairedArray:
     def p2(self) -> int:
         return sum(self.w[1])
 
-    def slot_position(self, t: int) -> tuple[int, int, int]:
-        """(row, column, index-within-cell) of global slot t."""
-        row, offset = (1, t) if t < self.p1 else (2, t - self.p1)
-        for j, count in enumerate(self.w[row - 1]):
-            if offset < count:
-                return (row, j, offset)
-            offset -= count
-        raise ValueError(f"slot {t} out of range")
-
     def slot_columns(self, row: int) -> list[int]:
         """Column of each slot of the given row, in slot order."""
         return [j for j, count in enumerate(self.w[row - 1]) for _ in range(count)]
@@ -161,7 +167,6 @@ class ArrowedArray:
     p1 = PairedArray.p1
     p2 = PairedArray.p2
     s = PairedArray.s
-    slot_position = PairedArray.slot_position
     slot_columns = PairedArray.slot_columns
     rightmost_slot = PairedArray.rightmost_slot
     is_mixed_slot = PairedArray.is_mixed_slot
@@ -238,11 +243,12 @@ class SubstructureGamma:
 
     @classmethod
     def from_json(cls, text: str) -> "SubstructureGamma":
-        data = json.loads(text)
+        fields = {"K": int, "w": list, "R1": list, "R2": list, "phi": dict}
+        data = _load_spec(text, "substructure", fields, phi={})
         w = _as_occupancy(data["w"])
         if len(w[0]) != data["K"]:
             raise ValueError("K does not match the occupancy width")
-        phi = {int(t): int(h) for t, h in data.get("phi", {}).items()}
+        phi = {int(t): int(h) for t, h in data["phi"].items()}
         return cls.of(w, data["R1"], data["R2"], phi)
 
 
@@ -284,8 +290,8 @@ class SubstructureOmega:
 
     @classmethod
     def from_json(cls, text: str) -> "SubstructureOmega":
-        data = json.loads(text)
-        return cls(int(data["K"]), int(data["R1"]), int(data["R2"]), tuple(data["w"]))
+        data = _load_spec(text, "occupancy", {"K": int, "R1": int, "R2": int, "w": list})
+        return cls(data["K"], data["R1"], data["R2"], tuple(data["w"]))
 
 
 ArrayLike = Union[PairedArray, ArrowedArray, SubstructureGamma]

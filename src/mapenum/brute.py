@@ -12,7 +12,7 @@ from itertools import combinations, permutations, product
 from typing import Iterator, Mapping, Sequence
 
 from .arrays import SubstructureGamma, SubstructureOmega, _rooted_forest
-from .exact import CycleCountVector, Pairing, TwoRowGround, cycle_count
+from .exact import CycleCountVector, Pairing, TwoRowGround
 
 
 # ----------------------------------------------------------------------
@@ -30,32 +30,26 @@ def _pairing_partners(n: int, first_partner: int | None = None) -> Iterator[tupl
     """
     if n % 2 != 0:
         raise ValueError("ground size must be even")
-    if n == 0:
-        yield ()
-        return
     partner = [-1] * n
 
-    def rec() -> Iterator[tuple[int, ...]]:
-        i = next((k for k in range(n) if partner[k] == -1), None)
-        if i is None:
+    def rec(free: list[int]) -> Iterator[tuple[int, ...]]:
+        if not free:
             yield tuple(partner)
             return
-        for j in range(i + 1, n):
-            if partner[j] == -1:
-                partner[i] = j
-                partner[j] = i
-                yield from rec()
-                partner[i] = -1
-                partner[j] = -1
+        i = free[0]
+        for k in range(1, len(free)):
+            j = free[k]
+            partner[i] = j
+            partner[j] = i
+            yield from rec(free[1:k] + free[k + 1 :])
 
-    if first_partner is None:
-        yield from rec()
-    else:
+    free = list(range(n))
+    if first_partner is not None:
         if not 1 <= first_partner < n:
             raise ValueError(f"first_partner must be in 1..{n - 1}")
-        partner[0] = first_partner
-        partner[first_partner] = 0
-        yield from rec()
+        partner[0], partner[first_partner] = first_partner, 0
+        free = [k for k in free[1:] if k != first_partner]
+    yield from rec(free)
 
 
 def enumerate_pairings_one_row(q: int, first_partner: int | None = None) -> Iterator[Pairing]:
@@ -73,11 +67,8 @@ def _mixed_pair_count(partner: Sequence[int], p1: int) -> int:
 def enumerate_pairings_two_row(
     q1: int, q2: int, s: int, first_partner: int | None = None
 ) -> Iterator[Pairing]:
-    """Pairings of the two-row ground set with q_i within-row pairs and s mixed.
-
-    Produced by filtering the full pairing stream of the p1+p2 elements, so
-    the class cardinality identity stays a real check elsewhere.
-    """
+    """Pairings of the two-row ground set with q_i within-row pairs and s mixed,
+    in the order and with the ``first_partner`` fan-out of the full stream."""
     if q1 < 0 or q2 < 0 or s < 1:
         raise ValueError("need q1, q2 >= 0 and s >= 1")
     p1, p2 = 2 * q1 + s, 2 * q2 + s
@@ -86,63 +77,75 @@ def enumerate_pairings_two_row(
             yield Pairing(partner)
 
 
-@lru_cache(maxsize=None)
-def _all_partner_tuples(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_pairing_partners(n))
-
-
-def _partner_stream(n: int) -> Iterator[tuple[int, ...]]:
-    # materialized and cached only for the ground sets the sweeps revisit
-    if n <= 12:
-        return iter(_all_partner_tuples(n))
-    return _pairing_partners(n)
-
-
 # ----------------------------------------------------------------------
 # Cycle-count tallies (one and two rows)
 # ----------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _pairing_tally(p1: int, p2: int) -> dict[tuple[int, int], int]:
+    """Tally all pairings mu of p1 + p2 elements by (mixed pairs, cycles of mu gamma^-1).
+
+    gamma cycles each row (p2 = 0 for one row). The walk visits every pairing
+    in the order of ``_pairing_partners`` and grows mu gamma^-1 as disjoint
+    paths: the pair a-b adds the arcs gamma(a) -> b and gamma(b) -> a, and an
+    arc that closes its own path adds a cycle. ``end[x]`` is the other end of
+    the path ending or starting at x, restored on backtrack.
+    """
+    n = p1 + p2
+    gamma = [(i + 1) % p1 for i in range(p1)] + [p1 + (i + 1) % p2 for i in range(p2)]
+    end = list(range(n))
+    stride = n // 2 + 3  # key = mixed * stride + cycles, cycles <= n/2 + 2
+    counts = [0] * (stride * (n // 2 + 1))
+
+    def walk(free: list[int], key: int) -> None:
+        a = free[0]
+        ga = gamma[a]
+        if len(free) == 2:
+            # last pair: two cycles if gamma(a)'s path starts at b, else one
+            b = free[1]
+            key += 2 if end[ga] == b else 1
+            counts[key + stride if a < p1 <= b else key] += 1
+            return
+        for k in range(1, len(free)):
+            b = free[k]
+            gb = gamma[b]
+            c = key + stride if a < p1 <= b else key
+            s1, e1 = end[ga], end[b]
+            if s1 == b:
+                c += 1
+            else:
+                end[s1], end[e1] = e1, s1
+            s2, e2 = end[gb], end[a]
+            if s2 == a:
+                walk(free[1:k] + free[k + 1 :], c + 1)
+            else:
+                end[s2], end[e2] = e2, s2
+                walk(free[1:k] + free[k + 1 :], c)
+                end[s2], end[e2] = gb, a
+            if s1 != b:
+                end[s1], end[e1] = ga, b
+
+    walk(list(range(n)), 0)
+    return {divmod(key, stride): c for key, c in enumerate(counts) if c}
 
 
 def hz_counts_brute(q: int) -> CycleCountVector:
     """Tally pairings of [2q] by the cycle count of mu composed with gamma inverse."""
     if q < 1:
         raise ValueError("q must be positive")
-    n = 2 * q
-    gamma_inv = tuple((i - 1) % n for i in range(n))
-    tally: dict[int, int] = {}
-    seen = bytearray(n)
-    for partner in _pairing_partners(n):
-        # cycles of i -> partner[gamma_inv[i]], counted in place
-        for i in range(n):
-            seen[i] = 0
-        cycles = 0
-        for i in range(n):
-            if not seen[i]:
-                cycles += 1
-                j = i
-                while not seen[j]:
-                    seen[j] = 1
-                    j = partner[gamma_inv[j]]
-        tally[cycles] = tally.get(cycles, 0) + 1
-    return CycleCountVector.from_tally(q, tally)
+    tally = _pairing_tally(2 * q, 0)
+    return CycleCountVector.from_tally(q, {L: c for (_, L), c in tally.items()})
 
 
 def gs_counts_brute(q1: int, q2: int, s: int) -> CycleCountVector:
     """Tally two-row pairings with q_i within-row pairs and s mixed pairs."""
     if q1 < 0 or q2 < 0 or s < 1:
         raise ValueError("need q1, q2 >= 0 and s >= 1")
-    p1, p2 = 2 * q1 + s, 2 * q2 + s
-    ground = TwoRowGround(p1, p2)
-    gamma_inv = ground.gamma_inv()
-    d = q1 + q2 + s
-    tally: dict[int, int] = {}
-    within1 = 2 * q1
-    for partner in _partner_stream(p1 + p2):
-        if sum(1 for i in range(p1) if partner[i] < p1) != within1:
-            continue
-        cycles = cycle_count([partner[gamma_inv[i]] for i in range(p1 + p2)])
-        tally[cycles] = tally.get(cycles, 0) + 1
-    return CycleCountVector.from_tally(d, tally)
+    tally = _pairing_tally(2 * q1 + s, 2 * q2 + s)
+    return CycleCountVector.from_tally(
+        q1 + q2 + s, {L: c for (mixed, L), c in tally.items() if mixed == s}
+    )
 
 
 # ----------------------------------------------------------------------
@@ -153,15 +156,10 @@ def gs_counts_brute(q1: int, q2: int, s: int) -> CycleCountVector:
 @lru_cache(maxsize=None)
 def _surjective_function_count(classes: int, K: int) -> int:
     """Number of surjections from ``classes`` labelled blocks onto [K], by enumeration."""
-    if classes == 0:
-        return 1 if K == 0 else 0
-    total = 0
-    for assignment in product(range(K), repeat=classes):
-        if len(set(assignment)) == K:
-            total += 1
-    return total
+    return sum(1 for image in product(range(K), repeat=classes) if len(set(image)) == K)
 
 
+@lru_cache(maxsize=None)
 def paired_surjection_count_brute(K: int, q1: int, q2: int, s: int) -> int:
     """Count pairs (mu, pi) with pi surjective onto [K] and pi(mu(v)) = pi(gamma(v)).
 
@@ -173,12 +171,10 @@ def paired_surjection_count_brute(K: int, q1: int, q2: int, s: int) -> int:
         raise ValueError("need K >= 1, s >= 1, q1, q2 >= 0")
     p1, p2 = 2 * q1 + s, 2 * q2 + s
     n = p1 + p2
-    ground = TwoRowGround(p1, p2)
-    gamma = ground.gamma()
-    within1 = 2 * q1
+    gamma = TwoRowGround(p1, p2).gamma()
     total = 0
-    for partner in _partner_stream(n):
-        if sum(1 for i in range(p1) if partner[i] < p1) != within1:
+    for partner in _pairing_partners(n):
+        if _mixed_pair_count(partner, p1) != s:
             continue
         parent = list(range(n))
 

@@ -16,7 +16,6 @@ from .arrays import (
     check_full,
     is_irreducible,
     permute_columns,
-    phi_is_acyclic,
 )
 from .exact import Pairing, TwoRowGround
 
@@ -66,18 +65,14 @@ def irreducible_closure(g: SubstructureGamma) -> Union[SubstructureGamma, CycleD
     shortens a chain, so the loop terminates.
     """
     phi = g.phi
-    if not phi_is_acyclic(phi):
-        # report one witness cycle
-        for start in phi:
-            path = []
-            j = start
-            while j in phi and j not in path:
-                path.append(j)
-                j = phi[j]
-            if j in path:
-                cycle = path[path.index(j):]
-                return CycleDetected(tuple(cycle))
-        raise AssertionError("unreachable: cyclic phi without a witness")
+    for start in phi:  # a walk along the arrows that revisits a column is a cycle
+        path = []
+        j = start
+        while j in phi and j not in path:
+            path.append(j)
+            j = phi[j]
+        if j in path:
+            return CycleDetected(tuple(path[path.index(j):]))
     current = g
     while not is_irreducible(current):
         phi = current.phi
@@ -176,7 +171,8 @@ def column_merging(g: SubstructureGamma, X: int, Y: int) -> SubstructureGamma:
         frozenset(r2),
         tuple(sorted(new_phi.items())),
     )
-    assert check_full(out), "column merging must preserve the full condition"
+    if not check_full(out):
+        raise ValueError("column merging lost the full condition")
     return out
 
 

@@ -14,6 +14,7 @@ from mapenum.arrays import (
 )
 from mapenum.brute import (
     _compositions,
+    _pairing_tally,
     canonical_array_count_brute,
     enumerate_pairings_one_row,
     enumerate_pairings_two_row,
@@ -25,7 +26,7 @@ from mapenum.brute import (
     paired_surjection_count_brute,
     vertical_array_count_brute,
 )
-from mapenum.exact import binomial, double_factorial
+from mapenum.exact import TwoRowGround, binomial, cycle_count, double_factorial
 
 
 # ----------------------------------------------------------------------
@@ -97,6 +98,57 @@ def test_two_row_fan_out():
 # ----------------------------------------------------------------------
 # Cycle-count tallies
 # ----------------------------------------------------------------------
+
+
+def _naive_tally(pairings, gamma_inv, p1):
+    """(mixed pairs, cycles of mu gamma^-1) per pairing, straight from the definition."""
+    tally = {}
+    for mu in pairings:
+        mixed = sum(1 for i, j in mu.pairs() if (i < p1) != (j < p1))
+        cycles = cycle_count([mu[gamma_inv[i]] for i in range(len(gamma_inv))])
+        tally[mixed, cycles] = tally.get((mixed, cycles), 0) + 1
+    return tally
+
+
+@pytest.mark.parametrize("q", range(1, 6))
+def test_pairing_walk_matches_definition_one_row(q):
+    n = 2 * q
+    gamma_inv = [(i - 1) % n for i in range(n)]
+    tally = _pairing_tally(n, 0)
+    assert tally == _naive_tally(enumerate_pairings_one_row(q), gamma_inv, n)
+    assert sum(tally.values()) == double_factorial(n - 1)
+
+
+@pytest.mark.parametrize(
+    "p1, p2",
+    [(p1, n - p1) for n in range(2, 11, 2) for p1 in range(1, n)],
+)
+def test_pairing_walk_matches_definition_two_rows(p1, p2):
+    tally = _pairing_tally(p1, p2)
+    gamma_inv = TwoRowGround(p1, p2).gamma_inv()
+    naive = {}
+    if p1 % 2 == 0 and p2 % 2 == 0:  # the class without mixed pairs
+        within = (mu for mu in enumerate_pairings_one_row((p1 + p2) // 2)
+                  if all((i < p1) == (j < p1) for i, j in mu.pairs()))
+        naive.update(_naive_tally(within, gamma_inv, p1))
+    for s in range(2 - p1 % 2, min(p1, p2) + 1, 2):
+        q1, q2 = (p1 - s) // 2, (p2 - s) // 2
+        naive.update(_naive_tally(enumerate_pairings_two_row(q1, q2, s), gamma_inv, p1))
+        class_total = sum(c for (mixed, _), c in tally.items() if mixed == s)
+        assert class_total == (
+            binomial(p1, s) * binomial(p2, s) * factorial(s)
+            * double_factorial(2 * q1 - 1) * double_factorial(2 * q2 - 1)
+        )
+    assert tally == naive
+    assert sum(tally.values()) == double_factorial(p1 + p2 - 1)
+
+
+def test_classes_of_one_ground_set_share_one_walk():
+    _pairing_tally.cache_clear()
+    gs_counts_brute(1, 1, 1)
+    gs_counts_brute(0, 0, 3)
+    info = _pairing_tally.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_hz_counts_small():

@@ -166,3 +166,25 @@ def test_output_is_deterministic(capsys):
     a = run(capsys, "gs", "--q1", "1", "--q2", "0", "--s", "2")
     b = run(capsys, "gs", "--q1", "1", "--q2", "0", "--s", "2")
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [
+        ("count-gamma", {"K": 2, "R1": [1], "R2": [1], "phi": {}}),
+        ("count-gamma", {"K": 2, "w": 3, "R1": [1], "R2": [1], "phi": {}}),
+        ("count-gamma", {"K": 2, "w": [1, 1], "R1": [1], "R2": [1], "phi": {}}),
+        ("count-gamma", {"K": 2, "w": [[1, 1], [1, 1]], "R1": [1], "R2": [1], "phi": []}),
+        ("count-gamma", [[1, 1], [1, 1]]),
+        ("count-omega", {"K": 1, "R1": 1, "R2": 1}),
+        ("count-omega", {"K": 1, "R1": 1, "R2": 1, "w": 3}),
+        ("count-omega", "w"),
+    ],
+)
+def test_malformed_spec_exits_2(tmp_path, capsys, command, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    for method in ("formula", "brute"):
+        code, out, err = run(capsys, command, "--spec", str(path), "--method", method)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import AbstractSet, Iterable, Mapping, Union
 
 
 def _load_spec(text: str, kind: str, fields: Mapping[str, type], **defaults) -> dict:
@@ -37,7 +37,10 @@ def _as_occupancy(w) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _as_marks(marks, K: int, label: str) -> frozenset[int]:
-    marks = frozenset(int(j) for j in marks)
+    try:
+        marks = frozenset(int(j) for j in marks)
+    except TypeError:
+        raise ValueError(f"{label} must be a list of column indices") from None
     if not marks:
         raise ValueError(f"{label} must mark at least one column")
     if any(j < 0 or j >= K for j in marks):
@@ -50,7 +53,10 @@ def _as_arrows(arrows, r1: frozenset[int], K: int) -> tuple[tuple[int, int], ...
         items = arrows.items()
     else:
         items = arrows
-    pairs = sorted((int(t), int(h)) for t, h in items)
+    try:
+        pairs = sorted((int(t), int(h)) for t, h in items)
+    except TypeError:
+        raise ValueError("phi must map columns to columns") from None
     tails = [t for t, _ in pairs]
     if len(set(tails)) != len(tails):
         raise ValueError("each column may carry at most one arrow tail")
@@ -213,7 +219,7 @@ class SubstructureGamma:
 
     @classmethod
     def of(cls, w, r1, r2, phi: Mapping[int, int] | None = None) -> "SubstructureGamma":
-        return cls(_as_occupancy(w), frozenset(r1), frozenset(r2), tuple((phi or {}).items()))
+        return cls(w, r1, r2, phi or {})
 
     @property
     def K(self) -> int:
@@ -248,8 +254,7 @@ class SubstructureGamma:
         w = _as_occupancy(data["w"])
         if len(w[0]) != data["K"]:
             raise ValueError("K does not match the occupancy width")
-        phi = {int(t): int(h) for t, h in data["phi"].items()}
-        return cls.of(w, data["R1"], data["R2"], phi)
+        return cls.of(w, data["R1"], data["R2"], data["phi"])
 
 
 @dataclass(frozen=True)
@@ -266,7 +271,10 @@ class SubstructureOmega:
     w: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        w = tuple(int(x) for x in self.w)
+        try:
+            w = tuple(int(x) for x in self.w)
+        except TypeError:
+            raise ValueError("occupancy must be a list of integers") from None
         object.__setattr__(self, "w", w)
         if len(w) != self.K or self.K < 1:
             raise ValueError("occupancy length must equal K >= 1")
@@ -382,34 +390,22 @@ def forest_function(a: Union[PairedArray, ArrowedArray], row: int) -> dict[int, 
     return psi
 
 
-def _rooted_forest(psi: Mapping[int, int], roots: frozenset[int]) -> bool:
-    """Every column in psi's domain iterates into ``roots`` without cycling."""
-    state: dict[int, bool] = {}
+def _rooted_forest(psi: Mapping[int, int], roots: AbstractSet[int]) -> bool:
+    """Every column in psi's domain iterates into ``roots`` without cycling.
+
+    A walk stops at the first root it meets, so a root inside psi's domain
+    is never followed.
+    """
+    rooted: set[int] = set()  # columns already seen to reach a root
     for start in psi:
-        if start in state:
-            continue
         path: list[int] = []
         j = start
-        while True:
-            if j in roots:
-                ok = True
-                break
-            verdict = state.get(j)
-            if verdict is not None:
-                ok = verdict
-                break
-            if j in path:
-                ok = False  # cycle
-                break
-            if j not in psi:
-                ok = False  # dead end that is not a root
-                break
+        while j not in roots and j not in rooted:
+            if j in path or j not in psi:
+                return False  # a cycle, or a dead end that is not a root
             path.append(j)
             j = psi[j]
-        for v in path:
-            state[v] = ok
-        if not ok:
-            return False
+        rooted.update(path)
     return True
 
 
@@ -441,26 +437,28 @@ def critical_vertices(g: ArrayLike) -> set[tuple[int, int]]:
 def is_irreducible(g: SubstructureGamma) -> bool:
     """Arrow digraph acyclic, and every arrow-head column unmarked and tail-free."""
     phi = g.phi
-    tails = set(phi)
     for head in phi.values():
-        if head in g.r1 or head in tails:
+        if head in g.r1 or head in phi:
             return False
-    return phi_is_acyclic(phi)
+    return not arrow_cycle(phi)
 
 
-def phi_is_acyclic(phi: Mapping[int, int]) -> bool:
-    """True when the arrow digraph contains no directed cycle."""
-    done: set[int] = set()
+def arrow_cycle(phi: Mapping[int, int]) -> tuple[int, ...]:
+    """A directed cycle of the arrow digraph, as its columns in arrow order;
+    empty when the digraph is acyclic.
+
+    The witness is the first cycle met walking the arrows from each tail in
+    turn: a walk that revisits a column has closed a cycle.
+    """
     for start in phi:
         path: list[int] = []
         j = start
-        while j in phi and j not in done:
-            if j in path:
-                return False
+        while j in phi and j not in path:
             path.append(j)
             j = phi[j]
-        done.update(path)
-    return True
+        if j in path:
+            return tuple(path[path.index(j) :])
+    return ()
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,11 @@ from .exact import CycleCountVector, Pairing, TwoRowGround
 # ----------------------------------------------------------------------
 
 
-def _pairing_partners(n: int, first_partner: int | None = None) -> Iterator[tuple[int, ...]]:
+def _pairing_partners(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every pairing of 0..n-1 as a partner tuple.
 
     Order is deterministic: the smallest unpaired element is paired with each
-    larger candidate in increasing order, recursively. ``first_partner``
-    restricts the stream to the branch where element 0 takes that partner,
-    which gives a fan-out point for partitioned runs.
+    larger candidate in increasing order, recursively.
     """
     if n % 2 != 0:
         raise ValueError("ground size must be even")
@@ -43,38 +41,34 @@ def _pairing_partners(n: int, first_partner: int | None = None) -> Iterator[tupl
             partner[j] = i
             yield from rec(free[1:k] + free[k + 1 :])
 
-    free = list(range(n))
-    if first_partner is not None:
-        if not 1 <= first_partner < n:
-            raise ValueError(f"first_partner must be in 1..{n - 1}")
-        partner[0], partner[first_partner] = first_partner, 0
-        free = [k for k in free[1:] if k != first_partner]
-    yield from rec(free)
+    yield from rec(list(range(n)))
 
 
-def enumerate_pairings_one_row(q: int, first_partner: int | None = None) -> Iterator[Pairing]:
+def enumerate_pairings_one_row(q: int) -> Iterator[Pairing]:
     """All (2q-1)!! pairings of a 2q-element row, in deterministic order."""
     if q < 0:
         raise ValueError("q must be non-negative")
-    for partner in _pairing_partners(2 * q, first_partner):
+    for partner in _pairing_partners(2 * q):
         yield Pairing(partner)
 
 
-def _mixed_pair_count(partner: Sequence[int], p1: int) -> int:
-    return sum(1 for i in range(p1) if partner[i] >= p1)
+@lru_cache(maxsize=None)
+def _class_partners(q1: int, q2: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """Partner tuples of the two-row pairings with q_i within-row pairs and s
+    mixed pairs: the full stream of the ground set, filtered, in its order."""
+    p1 = 2 * q1 + s
+    return tuple(
+        p for p in _pairing_partners(p1 + 2 * q2 + s) if sum(y >= p1 for y in p[:p1]) == s
+    )
 
 
-def enumerate_pairings_two_row(
-    q1: int, q2: int, s: int, first_partner: int | None = None
-) -> Iterator[Pairing]:
+def enumerate_pairings_two_row(q1: int, q2: int, s: int) -> Iterator[Pairing]:
     """Pairings of the two-row ground set with q_i within-row pairs and s mixed,
-    in the order and with the ``first_partner`` fan-out of the full stream."""
+    in the order of the full stream."""
     if q1 < 0 or q2 < 0 or s < 1:
         raise ValueError("need q1, q2 >= 0 and s >= 1")
-    p1, p2 = 2 * q1 + s, 2 * q2 + s
-    for partner in _pairing_partners(p1 + p2, first_partner):
-        if _mixed_pair_count(partner, p1) == s:
-            yield Pairing(partner)
+    for partner in _class_partners(q1, q2, s):
+        yield Pairing(partner)
 
 
 # ----------------------------------------------------------------------
@@ -169,13 +163,11 @@ def paired_surjection_count_brute(K: int, q1: int, q2: int, s: int) -> int:
     """
     if K < 1 or s < 1 or q1 < 0 or q2 < 0:
         raise ValueError("need K >= 1, s >= 1, q1, q2 >= 0")
-    p1, p2 = 2 * q1 + s, 2 * q2 + s
-    n = p1 + p2
-    gamma = TwoRowGround(p1, p2).gamma()
+    ground = TwoRowGround(2 * q1 + s, 2 * q2 + s)
+    n = ground.size
+    gamma = ground.gamma()
     total = 0
-    for partner in _pairing_partners(n):
-        if _mixed_pair_count(partner, p1) != s:
-            continue
+    for partner in _class_partners(q1, q2, s):
         parent = list(range(n))
 
         def find(x: int) -> int:
@@ -198,6 +190,21 @@ def paired_surjection_count_brute(K: int, q1: int, q2: int, s: int) -> int:
 # ----------------------------------------------------------------------
 
 
+def _slot_columns(w: Sequence[int]) -> list[int]:
+    """Column of each slot of a row with occupancy ``w``, in slot order."""
+    return [j for j, count in enumerate(w) for _ in range(count)]
+
+
+def _rightmost_slots(w: Sequence[int], base: int = 0) -> list[int]:
+    """Slot id of the rightmost slot of each cell, in column order, for a row
+    with occupancy ``w`` whose first slot is ``base``; -1 for an empty cell."""
+    rightmost = []
+    for count in w:
+        base += count
+        rightmost.append(base - 1 if count else -1)
+    return rightmost
+
+
 def _count_forest_matchings(
     w1: Sequence[int],
     w2: Sequence[int],
@@ -215,22 +222,12 @@ def _count_forest_matchings(
     s = sum(w1)
     if sum(w2) != s:
         raise ValueError("rows must carry the same number of vertices")
-    K = len(w1)
-    col1 = [j for j in range(K) for _ in range(w1[j])]
-    col2 = [j for j in range(K) for _ in range(w2[j])]
+    col1 = _slot_columns(w1)
+    col2 = _slot_columns(w2)
     # rightmost slot of each cell that feeds the forest map
-    rm1 = []
-    offset = 0
-    for j in range(K):
-        if w1[j] > 0 and j not in r1 and j not in phi:
-            rm1.append((j, offset + w1[j] - 1))
-        offset += w1[j]
-    rm2 = []
-    offset = 0
-    for j in range(K):
-        if w2[j] > 0 and j not in r2:
-            rm2.append((j, offset + w2[j] - 1))
-        offset += w2[j]
+    rm1 = [(j, t) for j, t in enumerate(_rightmost_slots(w1))
+           if t >= 0 and j not in r1 and j not in phi]
+    rm2 = [(j, u) for j, u in enumerate(_rightmost_slots(w2)) if u >= 0 and j not in r2]
     base1 = dict(phi)
     total = 0
     inv = [0] * s
@@ -321,139 +318,56 @@ def vertical_array_count_brute(K: int, R1: int, R2: int, s: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _two_row_slot_pairings(
-    q1: int, q2: int, s: int
-) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]:
-    """All slot-level pairings with q_i within-row pairs and s mixed pairs.
-
-    Slots are row positions 0..p_i-1. Each pairing is returned as
-    (mixed1, partner1, partner2) where mixed1 lists the mixed row-1
-    positions and partner_i[x] = (row, position) is the partner of row-i
-    position x.
-    """
-    p1, p2 = 2 * q1 + s, 2 * q2 + s
-    out = []
-    for mixed1 in combinations(range(p1), s):
-        rest1 = tuple(x for x in range(p1) if x not in mixed1)
-        for mixed2 in combinations(range(p2), s):
-            rest2 = tuple(x for x in range(p2) if x not in mixed2)
-            for image in permutations(mixed2):
-                for within1 in _pairing_partners(2 * q1):
-                    for within2 in _pairing_partners(2 * q2):
-                        partner1: list[tuple[int, int]] = [(-1, -1)] * p1
-                        partner2: list[tuple[int, int]] = [(-1, -1)] * p2
-                        for x, y in zip(mixed1, image):
-                            partner1[x] = (2, y)
-                            partner2[y] = (1, x)
-                        for a in range(2 * q1):
-                            partner1[rest1[a]] = (1, rest1[within1[a]])
-                        for a in range(2 * q2):
-                            partner2[rest2[a]] = (2, rest2[within2[a]])
-                        out.append((mixed1, tuple(partner1), tuple(partner2)))
-    return tuple(out)
-
-
-def _forest_ok_for_root(
-    psi_full: Mapping[int, int], occupied: frozenset[int], root: int
-) -> bool:
-    """Forest condition for a single marked column ``root`` in one row.
-
-    ``psi_full`` maps every occupied column to its rightmost-partner column;
-    the domain with ``root`` marked is every other occupied column.
-    """
-    for start in occupied:
-        if start == root:
-            continue
-        j = start
-        seen = set()
-        while True:
-            if j in seen:
-                return False
-            seen.add(j)
-            j = psi_full[j]
-            if j == root:
-                break
-            if j not in occupied:
-                return False
-    return True
-
-
-@lru_cache(maxsize=None)
 def canonical_array_count_brute(K: int, q1: int, q2: int, s: int) -> int:
     """Proper paired arrays with a single marked column per row.
 
-    Runs over occupancies, slot pairings, and mark columns, checking the
-    non-empty, balance, and forest conditions for each candidate. Occupancy
-    pairs that cannot host any balanced pairing, or that leave more than two
-    columns without objects, are skipped up front.
+    Runs over occupancies and slot pairings, checking the balance and forest
+    conditions for each candidate, and counts the mark columns (j1, j2) that
+    root both forests and cover every column without vertices (non-empty).
+    Occupancy pairs that cannot host any balanced pairing, or that leave
+    more than two columns without vertices, are skipped up front.
     """
     if K < 1 or s < 1 or q1 < 0 or q2 < 0:
         raise ValueError("need K >= 1, s >= 1, q1, q2 >= 0")
     p1, p2 = 2 * q1 + s, 2 * q2 + s
-    pairings = _two_row_slot_pairings(q1, q2, s)
+    # each pairing with its mixed pairs (row-1 slot, row-2 slot)
+    pairings = [
+        (partner, [(x, y) for x, y in enumerate(partner[:p1]) if y >= p1])
+        for partner in _class_partners(q1, q2, s)
+    ]
+    # row-2 slots take the global ids p1..p1+p2-1
+    layouts2 = [(w2, _slot_columns(w2), _rightmost_slots(w2, p1)) for w2 in _compositions(p2, K)]
+    roots: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def valid_roots(psi: tuple[int, ...]) -> tuple[int, ...]:
+        # psi[j] is the column of the partner of cell j's rightmost slot (-1
+        # if empty). Marking r takes r out of the forest map, which changes
+        # nothing here: the walk stops at a root before following it.
+        if psi not in roots:
+            full = {j: v for j, v in enumerate(psi) if v >= 0}
+            roots[psi] = tuple(r for r in range(K) if _rooted_forest(full, {r}))
+        return roots[psi]
+
     total = 0
-    all_cols = frozenset(range(K))
     for w1 in _compositions(p1, K):
-        col1 = [j for j in range(K) for _ in range(w1[j])]
-        occupied1 = frozenset(j for j in range(K) if w1[j] > 0)
-        rm1 = {j: sum(w1[: j + 1]) - 1 for j in occupied1}
-        for w2 in _compositions(p2, K):
-            occupied2 = frozenset(j for j in range(K) if w2[j] > 0)
-            missing = all_cols - occupied1 - occupied2
+        col1 = _slot_columns(w1)
+        rm1 = _rightmost_slots(w1)
+        for w2, col2, rm2 in layouts2:
+            missing = {j for j in range(K) if w1[j] == w2[j] == 0}
             if len(missing) > 2:
                 continue  # two marks cannot cover the empty columns
             if sum(min(a, b) for a, b in zip(w1, w2)) < s:
                 continue  # no pairing can balance the mixed vertices
-            col2 = [j for j in range(K) for _ in range(w2[j])]
-            rm2 = {j: sum(w2[: j + 1]) - 1 for j in occupied2}
-            for mixed1, partner1, partner2 in pairings:
+            col = col1 + col2
+            for partner, mixed in pairings:
                 # balance: mixed vertices per column match between the rows
-                m1 = [0] * K
-                m2 = [0] * K
-                for x in mixed1:
-                    m1[col1[x]] += 1
-                    m2[col2[partner1[x][1]]] += 1
-                if m1 != m2:
+                excess = [0] * K
+                for x, y in mixed:
+                    excess[col[x]] += 1
+                    excess[col[y]] -= 1
+                if any(excess):
                     continue
-                psi1 = {}
-                for j in occupied1:
-                    row, y = partner1[rm1[j]]
-                    psi1[j] = col1[y] if row == 1 else col2[y]
-                psi2 = {}
-                for j in occupied2:
-                    row, y = partner2[rm2[j]]
-                    psi2[j] = col1[y] if row == 1 else col2[y]
-                total += _count_mark_choices(
-                    K, missing, psi1, occupied1, psi2, occupied2
-                )
+                good1 = valid_roots(tuple(col[partner[t]] if t >= 0 else -1 for t in rm1))
+                good2 = valid_roots(tuple(col[partner[t]] if t >= 0 else -1 for t in rm2))
+                total += sum(1 for j1 in good1 for j2 in good2 if missing <= {j1, j2})
     return total
-
-
-def _count_mark_choices(
-    K: int,
-    missing: frozenset[int],
-    psi1: Mapping[int, int],
-    occupied1: frozenset[int],
-    psi2: Mapping[int, int],
-    occupied2: frozenset[int],
-) -> int:
-    """Number of single-mark choices (j1, j2) meeting non-empty and forest."""
-
-    def f1(root: int) -> bool:
-        return _forest_ok_for_root(psi1, occupied1, root)
-
-    def f2(root: int) -> bool:
-        return _forest_ok_for_root(psi2, occupied2, root)
-
-    if len(missing) == 2:
-        m, n = sorted(missing)
-        return (f1(m) and f2(n)) + (f1(n) and f2(m))
-    if len(missing) == 1:
-        (m,) = missing
-        good1 = [j for j in range(K) if f1(j)]
-        good2 = [j for j in range(K) if f2(j)]
-        both = (m in good1) and (m in good2)
-        return (m in good1) * len(good2) + len(good1) * (m in good2) - both
-    good1 = sum(1 for j in range(K) if f1(j))
-    good2 = sum(1 for j in range(K) if f2(j))
-    return good1 * good2

@@ -13,6 +13,7 @@ from typing import Sequence, Union
 from .arrays import (
     PairedArray,
     SubstructureGamma,
+    arrow_cycle,
     check_full,
     is_irreducible,
     permute_columns,
@@ -64,15 +65,9 @@ def irreducible_closure(g: SubstructureGamma) -> Union[SubstructureGamma, CycleD
     otherwise the result is irreducible. Each step either removes an arrow or
     shortens a chain, so the loop terminates.
     """
-    phi = g.phi
-    for start in phi:  # a walk along the arrows that revisits a column is a cycle
-        path = []
-        j = start
-        while j in phi and j not in path:
-            path.append(j)
-            j = phi[j]
-        if j in path:
-            return CycleDetected(tuple(path[path.index(j):]))
+    cycle = arrow_cycle(g.phi)
+    if cycle:
+        return CycleDetected(cycle)
     current = g
     while not is_irreducible(current):
         phi = current.phi

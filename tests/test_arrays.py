@@ -8,6 +8,7 @@ from mapenum.arrays import (
     PairedArray,
     SubstructureGamma,
     SubstructureOmega,
+    arrow_cycle,
     check_balance,
     check_forest,
     check_full,
@@ -217,6 +218,23 @@ def test_is_irreducible():
     assert not is_irreducible(self_loop)
     fine = gamma_of([[1, 1, 1], [1, 1, 1]], {0}, {0}, {1: 2})
     assert is_irreducible(fine)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 5), st.integers(0, 5), max_size=6))
+def test_arrow_cycle_is_a_cycle_and_empty_only_when_acyclic(phi):
+    cycle = arrow_cycle(phi)
+    for i, j in enumerate(cycle):
+        assert phi[j] == cycle[(i + 1) % len(cycle)]
+
+    def leaves_domain(j):
+        for _ in range(len(phi) + 1):
+            if j not in phi:
+                return True
+            j = phi[j]
+        return False
+
+    assert (cycle == ()) == all(leaves_domain(t) for t in phi)
 
 
 def test_classify_all_marked():

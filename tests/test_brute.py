@@ -64,14 +64,6 @@ def test_enumeration_is_deterministic():
     assert len(set(first)) == len(first)
 
 
-def test_fan_out_partitions_the_stream():
-    full = [p.partner for p in enumerate_pairings_one_row(3)]
-    parts = []
-    for partner0 in range(1, 6):
-        parts += [p.partner for p in enumerate_pairings_one_row(3, first_partner=partner0)]
-    assert parts == full
-
-
 def test_two_row_enumeration_class_size():
     for q1, q2, s in [(0, 0, 2), (1, 0, 1), (1, 1, 2), (2, 0, 2)]:
         p1, p2 = 2 * q1 + s, 2 * q2 + s
@@ -83,16 +75,6 @@ def test_two_row_enumeration_class_size():
             * double_factorial(2 * q2 - 1)
         )
         assert sum(1 for _ in enumerate_pairings_two_row(q1, q2, s)) == expected
-
-
-def test_two_row_fan_out():
-    full = [p.partner for p in enumerate_pairings_two_row(1, 0, 1)]
-    parts = []
-    for partner0 in range(1, 4):
-        parts += [
-            p.partner for p in enumerate_pairings_two_row(1, 0, 1, first_partner=partner0)
-        ]
-    assert parts == full
 
 
 # ----------------------------------------------------------------------
@@ -329,22 +311,33 @@ def test_canonical_anchors():
 
 def test_canonical_matches_checker_based_enumeration():
     """Cross-check the pruned canonical counter against the dumbest version."""
-    for K, q1, q2, s in [(1, 0, 0, 1), (2, 0, 0, 2), (1, 1, 0, 1), (2, 1, 0, 1), (3, 0, 0, 2)]:
-        assert canonical_array_count_brute(K, q1, q2, s) == _naive_canonical(K, q1, q2, s)
+    uncovered = set()
+    for K, q1, q2, s in [
+        (1, 0, 0, 1), (2, 0, 0, 2), (1, 1, 0, 1), (2, 1, 0, 1), (3, 0, 0, 2),
+        (2, 0, 1, 1), (3, 1, 1, 1), (4, 0, 1, 1),
+    ]:
+        count, seen = _naive_canonical(K, q1, q2, s)
+        assert canonical_array_count_brute(K, q1, q2, s) == count
+        uncovered |= seen
+    # the non-empty condition was decided with 0, 1 and 2 vertex-free columns
+    assert {0, 1, 2} <= uncovered
 
 
 def _naive_canonical(K, q1, q2, s):
+    """The count, and the numbers of vertex-free columns among balanced forest arrays."""
     p1, p2 = 2 * q1 + s, 2 * q2 + s
     count = 0
+    uncovered = set()
     for w1 in _compositions(p1, K):
         for w2 in _compositions(p2, K):
             for j1 in range(K):
                 for j2 in range(K):
                     for pairing in _slot_pairings(w1, w2, s):
                         arr = PairedArray((w1, w2), frozenset({j1}), frozenset({j2}), pairing)
-                        if check_nonempty(arr) and check_balance(arr) and check_forest(arr):
-                            count += 1
-    return count
+                        if check_balance(arr) and check_forest(arr):
+                            uncovered.add(sum(1 for a, b in zip(w1, w2) if a == b == 0))
+                            count += check_nonempty(arr)
+    return count, uncovered
 
 
 def _slot_pairings(w1, w2, s):

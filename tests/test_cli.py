@@ -179,6 +179,9 @@ def test_output_is_deterministic(capsys):
         ("count-omega", {"K": 1, "R1": 1, "R2": 1}),
         ("count-omega", {"K": 1, "R1": 1, "R2": 1, "w": 3}),
         ("count-omega", "w"),
+        ("count-gamma", {"K": 2, "w": [[1, 1], [1, 1]], "R1": [[1]], "R2": [1], "phi": {}}),
+        ("count-gamma", {"K": 2, "w": [[1, 1], [1, 1]], "R1": [1], "R2": [1], "phi": {"0": [0]}}),
+        ("count-omega", {"K": 1, "R1": 1, "R2": 1, "w": [[3]]}),
     ],
 )
 def test_malformed_spec_exits_2(tmp_path, capsys, command, spec):

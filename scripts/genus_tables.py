@@ -20,11 +20,6 @@ from mapenum.formulas import genus_counts, gs_series, hz_series
 from mapenum.verify import gs_parameter_tuples
 
 
-def counts_from_series(poly, d):
-    coeffs = poly.to_monomial().integer_coeffs()
-    return CycleCountVector(d, tuple(coeffs.get(L, 0) for L in range(1, d + 2)))
-
-
 def format_row(table):
     return "  ".join(f"g{g}:{table[g]}" for g in sorted(table))
 
@@ -48,7 +43,8 @@ def main() -> int:
 
     print("one-vertex maps by genus (rows: q = number of edges)")
     for q in range(1, args.max_q + 1):
-        table = genus_counts(counts_from_series(hz_series(q), q), 1, q)
+        counts = CycleCountVector.from_tally(q, hz_series(q).to_monomial().integer_coeffs())
+        table = genus_counts(counts, 1, q)
         if args.certify and not certified(f"q={q}", table, genus_counts(hz_counts_brute(q), 1, q)):
             return 1
         print(f"  q={q}: {format_row(table)}")
@@ -59,7 +55,8 @@ def main() -> int:
         if q1 < q2:
             continue  # symmetric in the two vertices
         d = q1 + q2 + s
-        table = genus_counts(counts_from_series(gs_series(q1, q2, s), d), 2, d)
+        counts = CycleCountVector.from_tally(d, gs_series(q1, q2, s).to_monomial().integer_coeffs())
+        table = genus_counts(counts, 2, d)
         label = f"q1={q1} q2={q2} s={s}"
         if args.certify and not certified(
             label, table, genus_counts(gs_counts_brute(q1, q2, s), 2, d)

@@ -41,11 +41,9 @@ from .exact import (
     Pairing,
     TwoRowGround,
     binomial,
-    binomial_to_monomial,
     cycle_count,
     double_factorial,
     multinomial,
-    poly_eval,
 )
 from .formulas import (
     canonical_from_vertical,

@@ -52,16 +52,12 @@ def _emit_genus_table(table: dict[int, int], fmt: str) -> None:
             print(f"{g},{table[g]}")
 
 
-def _counts_from_poly(poly: MonomialPoly, d: int) -> CycleCountVector:
-    coeffs = poly.integer_coeffs()
-    return CycleCountVector(d, tuple(coeffs.get(L, 0) for L in range(1, d + 2)))
-
-
 def _cmd_hz(args: argparse.Namespace) -> int:
     if args.method == "brute":
         counts = brute.hz_counts_brute(args.q)
     else:
-        counts = _counts_from_poly(hz_series(args.q).to_monomial(), args.q)
+        poly = hz_series(args.q).to_monomial()
+        counts = CycleCountVector.from_tally(args.q, poly.integer_coeffs())
     if args.by_genus:
         _emit_genus_table(genus_counts(counts, 1, args.q), args.format)
     else:
@@ -73,12 +69,10 @@ def _cmd_gs(args: argparse.Namespace) -> int:
     d = args.q1 + args.q2 + args.s
     if args.method == "brute":
         counts = brute.gs_counts_brute(args.q1, args.q2, args.s)
-    elif args.method == "simplified":
-        counts = _counts_from_poly(
-            gs_series_simplified(args.q1, args.q2, args.s).to_monomial(), d
-        )
     else:
-        counts = _counts_from_poly(gs_series(args.q1, args.q2, args.s).to_monomial(), d)
+        series = gs_series_simplified if args.method == "simplified" else gs_series
+        poly = series(args.q1, args.q2, args.s).to_monomial()
+        counts = CycleCountVector.from_tally(d, poly.integer_coeffs())
     if args.by_genus:
         _emit_genus_table(genus_counts(counts, 2, d), args.format)
     else:

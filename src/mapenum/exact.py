@@ -1,7 +1,8 @@
 """Exact arithmetic, permutation utilities, and polynomial bases.
 
-Everything in this module is exact: counts are Python ints and formula
-intermediates are fractions.Fraction. No floating point anywhere.
+Everything in this module is exact: counts are Python ints, and the only
+rationals are the monomial-basis coefficients of `MonomialPoly`, since
+C(x, 2) = x^2/2 - x/2. No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -9,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
-from typing import Iterable, Iterator, Sequence, Union
+from math import comb, factorial, perm, prod
+from typing import Iterable, Iterator, Sequence
 
 
 # ----------------------------------------------------------------------
@@ -45,13 +46,6 @@ def multinomial(parts: Iterable[int]) -> int:
     for p in parts:
         result //= factorial(p)
     return result
-
-
-def inv_factorial(n: int) -> Fraction:
-    """1/n! as an exact fraction, with 1/n! = 0 for n < 0 so sums self-truncate."""
-    if n < 0:
-        return Fraction(0)
-    return Fraction(1, factorial(n))
 
 
 def cycle_count(perm: Sequence[int]) -> int:
@@ -216,8 +210,11 @@ class CycleCountVector:
 
 
 @lru_cache(maxsize=None)
-def _binomial_basis_monomials(k: int) -> tuple[Fraction, ...]:
-    """Monomial coefficients of C(x, k) = x(x-1)...(x-k+1)/k!, degree 0..k."""
+def _binomial_basis_monomials(k: int) -> tuple[int, ...]:
+    """Monomial coefficients of x(x-1)...(x-k+1) = k! C(x, k), degree 0..k.
+
+    These are the signed Stirling numbers of the first kind s(k, deg).
+    """
     coeffs = [1]
     for t in range(k):
         nxt = [0] * (len(coeffs) + 1)
@@ -225,8 +222,7 @@ def _binomial_basis_monomials(k: int) -> tuple[Fraction, ...]:
             nxt[i + 1] += c
             nxt[i] -= c * t
         coeffs = nxt
-    kf = factorial(k)
-    return tuple(Fraction(c, kf) for c in coeffs)
+    return tuple(coeffs)
 
 
 @dataclass
@@ -248,12 +244,19 @@ class BinomialPoly:
         return sum(c * binomial(x, k) for k, c in self.coeffs.items())
 
     def to_monomial(self) -> "MonomialPoly":
-        acc: dict[int, Fraction] = {}
+        """Exact expansion into the monomial basis.
+
+        C(x, k) = x(x-1)...(x-k+1) * (top!/k!) / top! for the top index, so
+        every degree sums integers and divides once by top!.
+        """
+        top = max(self.coeffs, default=0)
+        acc: dict[int, int] = {}
         for k, c in self.coeffs.items():
+            scale = c * perm(top, top - k)
             for deg, m in enumerate(_binomial_basis_monomials(k)):
-                if m:
-                    acc[deg] = acc.get(deg, Fraction(0)) + c * m
-        return MonomialPoly(acc)
+                acc[deg] = acc.get(deg, 0) + scale * m
+        top_factorial = factorial(top)
+        return MonomialPoly({deg: Fraction(n, top_factorial) for deg, n in acc.items()})
 
 
 @dataclass
@@ -284,15 +287,3 @@ class MonomialPoly:
             out[deg] = c.numerator
         return out
 
-
-PolyLike = Union[BinomialPoly, MonomialPoly]
-
-
-def binomial_to_monomial(p: BinomialPoly) -> MonomialPoly:
-    """Exact expansion of a binomial-basis polynomial into the monomial basis."""
-    return p.to_monomial()
-
-
-def poly_eval(p: PolyLike, x: int) -> Union[int, Fraction]:
-    """Exact value of a polynomial in either basis at an integer point."""
-    return p.eval(x)

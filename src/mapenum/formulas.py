@@ -1,34 +1,29 @@
-"""Closed-form counting formulas, all in exact arithmetic.
+"""Closed-form counting formulas, all in integer arithmetic.
 
-Each formula mirrors its displayed form: intermediates are exact rationals
-and the final value is asserted integral (and non-negative where it counts
-something). The brute-force module provides the matching oracles.
+Each formula mirrors its displayed form with every reciprocal factorial and
+power of two moved into one common denominator: the numerator is summed in
+Python ints and `_as_count` divides once, raising unless the quotient is an
+exact non-negative integer. The brute-force module provides the matching
+oracles.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 from typing import Callable, Mapping
 
 from .arrays import SubstructureGamma, SubstructureOmega, check_full, classify_columns, is_irreducible
-from .exact import (
-    BinomialPoly,
-    CycleCountVector,
-    binomial,
-    double_factorial,
-    inv_factorial,
-    multinomial,
-)
+from .exact import BinomialPoly, CycleCountVector, binomial, double_factorial, multinomial
 
 
-def _as_count(value: Fraction, context: str) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"{context}: expected an exact integer, got {value}")
-    n = value.numerator
-    if n < 0:
-        raise ArithmeticError(f"{context}: expected a non-negative count, got {n}")
-    return n
+def _as_count(num: int, den: int, context: str) -> int:
+    """num / den for den > 0; raises unless it is an exact non-negative integer."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise ArithmeticError(f"{context}: expected an exact integer, got {num}/{den}")
+    if quotient < 0:
+        raise ArithmeticError(f"{context}: expected a non-negative count, got {quotient}")
+    return quotient
 
 
 # ----------------------------------------------------------------------
@@ -52,9 +47,11 @@ def hz_series(q: int) -> BinomialPoly:
 def gs_series(q1: int, q2: int, s: int) -> BinomialPoly:
     """Goulden-Slofstra series for two-vertex maps with q_i loops and s links.
 
-    Triple sum over k, i, j with the bracket
-    C(k-1, q1-i) C(k-1, q2-j) - C(k-1, q1+s-i) C(k-1, q2+s-j); terms with
-    d-i-j < 0 vanish by the reciprocal-factorial convention.
+    Triple sum over k, i <= p1/2 and j <= p2/2 with the bracket
+    C(k-1, q1-i) C(k-1, q2-j) - C(k-1, q1+s-i) C(k-1, q2+s-j), each term
+    weighted by C(d-i-j, k-1) / (2^(i+j) i! j! (d-i-j)!), so only i + j <= d
+    contributes. Over the denominator 2^d d! the reciprocal part of that
+    weight is multinomial(i, j, d-i-j) 2^(d-i-j).
     """
     if s < 1:
         raise ValueError("s must be positive")
@@ -62,37 +59,33 @@ def gs_series(q1: int, q2: int, s: int) -> BinomialPoly:
         raise ValueError("q1 and q2 must be non-negative")
     p1, p2 = 2 * q1 + s, 2 * q2 + s
     d = q1 + q2 + s
-    lead = factorial(p1) * factorial(p2)
-    coeffs: dict[int, Fraction] = {}
-    for k in range(1, d + 2):
-        acc = Fraction(0)
-        for i in range(p1 // 2 + 1):
-            for j in range(p2 // 2 + 1):
-                weight = inv_factorial(d - i - j)
-                if not weight:
-                    continue
-                choose = binomial(d - i - j, k - 1)
-                if not choose:
-                    continue
+    nums = [0] * (d + 2)
+    for i in range(p1 // 2 + 1):
+        for j in range(min(p2 // 2, d - i) + 1):
+            m = d - i - j
+            weight = multinomial((i, j, m)) * 2**m
+            for k in range(1, m + 2):
                 delta = binomial(k - 1, q1 - i) * binomial(k - 1, q2 - j) - binomial(
                     k - 1, q1 + s - i
                 ) * binomial(k - 1, q2 + s - j)
-                if not delta:
-                    continue
-                acc += Fraction(choose * delta, 2 ** (i + j) * factorial(i) * factorial(j)) * weight
-        value = lead * acc
-        if value:
-            if value.denominator != 1:
-                raise ArithmeticError(f"series coefficient at k={k} is not integral: {value}")
-            coeffs[k] = value.numerator
-    return BinomialPoly(coeffs)
+                nums[k] += weight * binomial(m, k - 1) * delta
+    lead = factorial(p1) * factorial(p2)
+    den = 2**d * factorial(d)
+    return BinomialPoly(
+        {
+            k: _as_count(lead * nums[k], den, f"gs_series coefficient at k={k}")
+            for k in range(1, d + 2)
+        }
+    )
 
 
 def gs_series_simplified(q1: int, q2: int, s: int) -> BinomialPoly:
     """Two-sum form of the two-vertex series (the g1 - g2 reduction).
 
-    Sums over t1 <= q1+s and t2 <= q2+s, contributing to C(x, d-t1-t2+1);
-    negative factorial arguments zero out terms.
+    Sums over t1 <= q1+s and t2 <= q2+s with t1 + t2 <= d, contributing to
+    C(x, d-t1-t2+1). Over the denominator 2^d d! q1! q2! (q1+s)! (q2+s)! the
+    bracket of reciprocal factorials is a difference of products of falling
+    factorials perm(n, t), which are 0 for t > n.
     """
     if s < 1:
         raise ValueError("s must be positive")
@@ -100,35 +93,25 @@ def gs_series_simplified(q1: int, q2: int, s: int) -> BinomialPoly:
         raise ValueError("q1 and q2 must be non-negative")
     p1, p2 = 2 * q1 + s, 2 * q2 + s
     d = q1 + q2 + s
-    lead = factorial(p1) * factorial(p2)
-    coeffs: dict[int, Fraction] = {}
+    nums = [0] * (d + 2)
     for t1 in range(q1 + s + 1):
-        for t2 in range(q2 + s + 1):
-            mid = inv_factorial(d - t1 - t2)
-            if not mid:
-                continue
-            k = d - t1 - t2 + 1
-            bracket = inv_factorial(q1) * inv_factorial(q2) * inv_factorial(
-                s + q1 - t1
-            ) * inv_factorial(s + q2 - t2) - inv_factorial(q1 + s) * inv_factorial(
-                q2 + s
-            ) * inv_factorial(q1 - t1) * inv_factorial(q2 - t2)
+        for t2 in range(min(q2 + s, d - t1) + 1):
+            bracket = perm(q1 + s, t1) * perm(q2 + s, t2) - perm(q1, t1) * perm(q2, t2)
             if not bracket:
                 continue
-            term = (
-                Fraction(factorial(d - t1) * factorial(d - t2) * lead)
-                * mid
-                * bracket
-                / (2 ** (t1 + t2) * factorial(t1) * factorial(t2))
+            m = d - t1 - t2
+            nums[m + 1] += (
+                factorial(d - t1) * factorial(d - t2) * multinomial((m, t1, t2)) * 2**m * bracket
             )
-            coeffs[k] = coeffs.get(k, Fraction(0)) + term
-    out: dict[int, int] = {}
-    for k, value in coeffs.items():
-        if value:
-            if value.denominator != 1:
-                raise ArithmeticError(f"series coefficient at k={k} is not integral: {value}")
-            out[k] = value.numerator
-    return BinomialPoly(out)
+    lead = factorial(p1) * factorial(p2)
+    den = 2**d * factorial(d) * factorial(q1) * factorial(q2)
+    den *= factorial(q1 + s) * factorial(q2 + s)
+    return BinomialPoly(
+        {
+            k: _as_count(lead * nums[k], den, f"gs_series_simplified coefficient at k={k}")
+            for k in range(1, d + 2)
+        }
+    )
 
 
 def series_from_surjections(f: Mapping[int, int]) -> BinomialPoly:
@@ -145,14 +128,15 @@ def vertical_count_formula(K: int, R1: int, R2: int, s: int) -> int:
     """Closed form for the number of proper vertical arrays."""
     if K < 1 or R1 < 1 or R2 < 1 or s < 1:
         raise ValueError("need K, R1, R2, s >= 1")
-    ratio = Fraction(
-        factorial(s + R1 - 1) * factorial(s + R2 - 1), factorial(s + R1 + R2 - 2)
-    )
     bracket = binomial(K - 1, R1 - 1) * binomial(K - 1, R2 - 1) - binomial(
         K - 1, s + R1 - 1
     ) * binomial(K - 1, s + R2 - 1)
-    value = ratio * binomial(s + R1 + R2 - 2, K - 1) * bracket
-    return _as_count(value, f"vertical_count_formula({K}, {R1}, {R2}, {s})")
+    num = (
+        factorial(s + R1 - 1) * factorial(s + R2 - 1) * binomial(s + R1 + R2 - 2, K - 1) * bracket
+    )
+    return _as_count(
+        num, factorial(s + R1 + R2 - 2), f"vertical_count_formula({K}, {R1}, {R2}, {s})"
+    )
 
 
 def gamma_count_formula(g: SubstructureGamma) -> int:
@@ -160,7 +144,8 @@ def gamma_count_formula(g: SubstructureGamma) -> int:
 
     Three branches depending on how the vertex count s compares with the
     number A of doubly-unmarked arrow-free columns: zero when s <= A, a
-    single product when s = A+1, and the two-term bracket otherwise.
+    single product when s = A+1, and otherwise
+    (s-1)! (first / (s-A) + second / ((s-A)(s-A-1))).
     """
     if g.s < 1:
         raise ValueError("the substructure must carry at least one vertex per row")
@@ -176,10 +161,8 @@ def gamma_count_formula(g: SubstructureGamma) -> int:
     if s == t.A + 1:
         return factorial(s - 1) * first
     second = t.b1 * (t.c2 + t.cbar2 + t.ctil2) - t.cbar1 * (t.b2 + t.d2)
-    value = factorial(s - 1) * (
-        Fraction(first, s - t.A) + Fraction(second, (s - t.A) * (s - t.A - 1))
-    )
-    return _as_count(value, "gamma_count_formula")
+    num = factorial(s - 1) * (first * (s - t.A - 1) + second)
+    return _as_count(num, (s - t.A) * (s - t.A - 1), "gamma_count_formula")
 
 
 def gamma_count_formula_noarrows(g: SubstructureGamma) -> int:
@@ -210,31 +193,28 @@ def gamma_count_formula_noarrows(g: SubstructureGamma) -> int:
             A += 1
     if s <= A:
         return 0
-    first = Fraction((b2 + d2) * (c1 + d1), s - A)
+    first = (b2 + d2) * (c1 + d1)
     if s == A + 1:
-        return _as_count(factorial(s - 1) * first, "gamma_count_formula_noarrows")
-    value = factorial(s - 1) * (first + Fraction(b1 * c2, (s - A) * (s - A - 1)))
-    return _as_count(value, "gamma_count_formula_noarrows")
+        return factorial(s - 1) * first
+    num = factorial(s - 1) * (first * (s - A - 1) + b1 * c2)
+    return _as_count(num, (s - A) * (s - A - 1), "gamma_count_formula_noarrows")
 
 
 def omega_count_formula(o: SubstructureOmega) -> int:
     """Proper vertical arrays with a fixed balanced occupancy.
 
-    s! times a sum over the number A of doubly-unmarked occupied columns,
-    with a multinomial that distributes the remaining columns among the
-    three marked patterns; negative multinomial parts vanish.
+    s! times a sum over the number A of doubly-unmarked occupied columns of
+    s/(s-A) times a multinomial that distributes the remaining columns among
+    the three marked patterns; negative multinomial parts vanish. The factor
+    s! s/(s-A) is the integer s perm(s, A) (s-A-1)!.
     """
     s, K, F = o.s, o.K, o.F
-    acc = Fraction(0)
+    total = 0
     for A in range(s):
         spread = multinomial((K - A - o.r1, K - A - o.r2, o.r1 + o.r2 - K + A - 1))
-        if not spread:
-            continue
         choose = binomial(F - 1, A) if F >= 1 else 0
-        if not choose:
-            continue
-        acc += Fraction(s, s - A) * choose * spread
-    return _as_count(factorial(s) * acc, "omega_count_formula")
+        total += s * perm(s, A) * factorial(s - A - 1) * choose * spread
+    return total
 
 
 def canonical_from_vertical(
@@ -243,25 +223,22 @@ def canonical_from_vertical(
     """Canonical-array count assembled from vertical-array counts.
 
     Sums over the numbers t_i of within-row pairs removed entirely, weighting
-    v(K, q1-t1+1, q2-t2+1, s) by the ways of re-inserting those pairs.
+    v(K, q1-t1+1, q2-t2+1, s) by the ways of re-inserting those pairs,
+    p1! p2! / (2^(t1+t2) t1! t2! (s+q1-t1)! (s+q2-t2)!), here over the
+    denominator 2^(q1+q2) (s+q1)! (s+q2)!.
     """
     if s < 1:
         raise ValueError("s must be positive")
     p1, p2 = 2 * q1 + s, 2 * q2 + s
-    lead = factorial(p1) * factorial(p2)
-    acc = Fraction(0)
+    num = 0
     for t1 in range(q1 + 1):
         for t2 in range(q2 + 1):
-            weight = Fraction(
-                lead,
-                2 ** (t1 + t2)
-                * factorial(t1)
-                * factorial(t2)
-                * factorial(s + q1 - t1)
-                * factorial(s + q2 - t2),
-            )
-            acc += weight * v_source(K, q1 - t1 + 1, q2 - t2 + 1, s)
-    return _as_count(acc, f"canonical_from_vertical({K}, {q1}, {q2}, {s})")
+            weight = binomial(s + q1, t1) * binomial(s + q2, t2) * 2 ** (q1 + q2 - t1 - t2)
+            num += weight * v_source(K, q1 - t1 + 1, q2 - t2 + 1, s)
+    den = 2 ** (q1 + q2) * factorial(s + q1) * factorial(s + q2)
+    return _as_count(
+        factorial(p1) * factorial(p2) * num, den, f"canonical_from_vertical({K}, {q1}, {q2}, {s})"
+    )
 
 
 # ----------------------------------------------------------------------

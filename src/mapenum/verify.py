@@ -211,6 +211,13 @@ def _random_nonempty_subset(rng: random.Random, K: int) -> frozenset[int]:
     return frozenset(rng.sample(range(K), rng.randint(1, K)))
 
 
+def _top_up(rng: random.Random, w: list[int], s: int) -> tuple[int, ...]:
+    """Add vertices to ``w``, each in a uniformly drawn column, until it holds s."""
+    for _ in range(s - sum(w)):
+        w[rng.randrange(len(w))] += 1
+    return tuple(w)
+
+
 def random_full_irreducible(
     rng: random.Random, max_K: int = 6, max_s: int = 7, branch: str | None = None
 ) -> SubstructureGamma:
@@ -250,13 +257,9 @@ def random_full_irreducible(
             if minimum > max_s:
                 continue
             s = rng.randint(minimum, max_s)
-        w1 = [1 if j in need1 else 0 for j in range(K)]
-        w2 = [1 if j in need2 else 0 for j in range(K)]
-        for _ in range(s - sum(w1)):
-            w1[rng.randrange(K)] += 1
-        for _ in range(s - sum(w2)):
-            w2[rng.randrange(K)] += 1
-        return SubstructureGamma((tuple(w1), tuple(w2)), r1, r2, tuple(sorted(phi.items())))
+        w1 = _top_up(rng, [1 if j in need1 else 0 for j in range(K)], s)
+        w2 = _top_up(rng, [1 if j in need2 else 0 for j in range(K)], s)
+        return SubstructureGamma((w1, w2), r1, r2, tuple(sorted(phi.items())))
 
 
 def random_balanced_noarrows(
@@ -271,24 +274,15 @@ def random_balanced_noarrows(
     r1 = _random_nonempty_subset(rng, K)
     r2 = _random_nonempty_subset(rng, K)
     s = rng.randint(1, max_s)
-    w = [0] * K
-    for _ in range(s):
-        w[rng.randrange(K)] += 1
-    w = tuple(w)
+    w = _top_up(rng, [0] * K, s)
     return SubstructureGamma((w, w), r1, r2, ())
 
 
 def _random_gamma(rng: random.Random, K: int, s: int, phi: dict[int, int],
                   r1: frozenset[int], r2: frozenset[int]) -> SubstructureGamma:
-    w1 = [0] * K
-    w2 = [0] * K
-    for _ in range(s):
-        w1[rng.randrange(K)] += 1
-    for _ in range(s):
-        w2[rng.randrange(K)] += 1
-    return SubstructureGamma(
-        (tuple(w1), tuple(w2)), r1, r2, tuple(sorted(phi.items()))
-    )
+    w1 = _top_up(rng, [0] * K, s)
+    w2 = _top_up(rng, [0] * K, s)
+    return SubstructureGamma((w1, w2), r1, r2, tuple(sorted(phi.items())))
 
 
 def sweep_gamma(
@@ -449,15 +443,9 @@ def _sweep_merging(rng: random.Random, count: int) -> list[str]:
             if minimum > 6:
                 continue
             s = rng.randint(minimum, 6)
-            w1 = [1 if j in need1 else 0 for j in range(K)]
-            w2 = [1 if j in need2 else 0 for j in range(K)]
-            for _ in range(s - sum(w1)):
-                w1[rng.randrange(K)] += 1
-            for _ in range(s - sum(w2)):
-                w2[rng.randrange(K)] += 1
-            g = SubstructureGamma(
-                (tuple(w1), tuple(w2)), r1, r2, tuple(sorted(phi.items()))
-            )
+            w1 = _top_up(rng, [1 if j in need1 else 0 for j in range(K)], s)
+            w2 = _top_up(rng, [1 if j in need2 else 0 for j in range(K)], s)
+            g = SubstructureGamma((w1, w2), r1, r2, tuple(sorted(phi.items())))
             xs = [j for j in range(K) if w1[j] >= 1 and j not in r1 and j not in g.tails]
             ys = [j for j in range(K) if w2[j] >= 1 and j not in r2]
             choices = [(x, y) for x in xs for y in ys if x != y]

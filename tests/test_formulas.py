@@ -13,6 +13,7 @@ from mapenum.brute import (
 )
 from mapenum.exact import CycleCountVector
 from mapenum.formulas import (
+    _as_count,
     canonical_from_vertical,
     gamma_count_formula,
     gamma_count_formula_noarrows,
@@ -24,6 +25,20 @@ from mapenum.formulas import (
     series_from_surjections,
     vertical_count_formula,
 )
+
+
+def test_as_count_returns_the_exact_quotient():
+    assert _as_count(factorial(10), factorial(7), "ctx") == 720
+    assert _as_count(0, 5, "ctx") == 0
+
+
+def test_as_count_rejects_a_remainder_or_a_negative_value():
+    with pytest.raises(ArithmeticError, match=r"^ratio\(7\): expected an exact integer, got 7/2$"):
+        _as_count(7, 2, "ratio(7)")
+    with pytest.raises(ArithmeticError, match=r"^neg: expected a non-negative count, got -3$"):
+        _as_count(-6, 2, "neg")
+    with pytest.raises(ArithmeticError, match="expected an exact integer"):
+        _as_count(-7, 2, "neg")
 
 
 # ----------------------------------------------------------------------

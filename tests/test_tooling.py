@@ -24,6 +24,20 @@ def test_no_assert_statements(path):
     assert lines == []
 
 
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src").rglob("*.py")), ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_no_true_division(path):
+    # all arithmetic is exact: a `/` on ints would produce a float
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    assert lines == []
+
+
 def _load_genus_tables():
     path = ROOT / "scripts" / "genus_tables.py"
     spec = importlib.util.spec_from_file_location("genus_tables", path)

@@ -205,6 +205,11 @@ def _rightmost_slots(w: Sequence[int], base: int = 0) -> list[int]:
     return rightmost
 
 
+def _empty_columns(w: Sequence[int]) -> frozenset[int]:
+    """Columns of a row with occupancy ``w`` that hold no slot."""
+    return frozenset(j for j, count in enumerate(w) if count == 0)
+
+
 def _count_forest_matchings(
     w1: Sequence[int],
     w2: Sequence[int],
@@ -321,22 +326,47 @@ def vertical_array_count_brute(K: int, R1: int, R2: int, s: int) -> int:
 def canonical_array_count_brute(K: int, q1: int, q2: int, s: int) -> int:
     """Proper paired arrays with a single marked column per row.
 
-    Runs over occupancies and slot pairings, checking the balance and forest
-    conditions for each candidate, and counts the mark columns (j1, j2) that
-    root both forests and cover every column without vertices (non-empty).
-    Occupancy pairs that cannot host any balanced pairing, or that leave
-    more than two columns without vertices, are skipped up front.
+    Runs over occupancy pairs (w1, w2) and, for each, over the pairings that
+    balance it; checks the forest condition for each such candidate and
+    counts the mark columns (j1, j2) that root both forests and cover every
+    column without vertices (non-empty). Whether a pairing balances (w1, w2)
+    depends only on the set X of row-1 slots it pairs across and the set Y
+    of row-2 slots they land on: it does when X has as many slots in each
+    column under w1 as Y has under w2. So the pairings are grouped by
+    (X, Y), each row's sets are indexed by that column profile, and only
+    the groups of matching profiles are visited. Occupancy pairs leaving
+    more than two columns without vertices are skipped.
     """
     if K < 1 or s < 1 or q1 < 0 or q2 < 0:
         raise ValueError("need K >= 1, s >= 1, q1, q2 >= 0")
     p1, p2 = 2 * q1 + s, 2 * q2 + s
-    # each pairing with its mixed pairs (row-1 slot, row-2 slot)
-    pairings = [
-        (partner, [(x, y) for x, y in enumerate(partner[:p1]) if y >= p1])
-        for partner in _class_partners(q1, q2, s)
-    ]
-    # row-2 slots take the global ids p1..p1+p2-1
-    layouts2 = [(w2, _slot_columns(w2), _rightmost_slots(w2, p1)) for w2 in _compositions(p2, K)]
+    # pairings grouped by mixed slots (X, Y): X in row-1 ids, Y in row-2 ids
+    groups: dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[int, ...]]] = {}
+    for partner in _class_partners(q1, q2, s):
+        mixed1 = tuple(x for x in range(p1) if partner[x] >= p1)
+        mixed2 = tuple(sorted(partner[x] - p1 for x in mixed1))
+        groups.setdefault((mixed1, mixed2), []).append(partner)
+    sets1 = list(combinations(range(p1), s))
+    sets2 = list(combinations(range(p2), s))
+
+    def by_profile(
+        sets: list[tuple[int, ...]], col: list[int]
+    ) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+        # the slot sets keyed by their number of slots in each column
+        index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for slots in sets:
+            profile = [0] * K
+            for t in slots:
+                profile[col[t]] += 1
+            index.setdefault(tuple(profile), []).append(slots)
+        return index
+
+    # per w2: columns, rightmost slots (global ids p1..p1+p2-1), empty columns, profiles
+    layouts2 = []
+    for w2 in _compositions(p2, K):
+        col2 = _slot_columns(w2)
+        index2 = by_profile(sets2, col2)
+        layouts2.append((col2, _rightmost_slots(w2, p1), _empty_columns(w2), index2))
     roots: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def valid_roots(psi: tuple[int, ...]) -> tuple[int, ...]:
@@ -352,22 +382,18 @@ def canonical_array_count_brute(K: int, q1: int, q2: int, s: int) -> int:
     for w1 in _compositions(p1, K):
         col1 = _slot_columns(w1)
         rm1 = _rightmost_slots(w1)
-        for w2, col2, rm2 in layouts2:
-            missing = {j for j in range(K) if w1[j] == w2[j] == 0}
+        empty1 = _empty_columns(w1)
+        index1 = by_profile(sets1, col1)
+        for col2, rm2, empty2, index2 in layouts2:
+            missing = empty1 & empty2
             if len(missing) > 2:
                 continue  # two marks cannot cover the empty columns
-            if sum(min(a, b) for a, b in zip(w1, w2)) < s:
-                continue  # no pairing can balance the mixed vertices
             col = col1 + col2
-            for partner, mixed in pairings:
-                # balance: mixed vertices per column match between the rows
-                excess = [0] * K
-                for x, y in mixed:
-                    excess[col[x]] += 1
-                    excess[col[y]] -= 1
-                if any(excess):
-                    continue
-                good1 = valid_roots(tuple(col[partner[t]] if t >= 0 else -1 for t in rm1))
-                good2 = valid_roots(tuple(col[partner[t]] if t >= 0 else -1 for t in rm2))
-                total += sum(1 for j1 in good1 for j2 in good2 if missing <= {j1, j2})
+            # balance: as many mixed slots per column in each row
+            for profile in index1.keys() & index2.keys():
+                for mixed1, mixed2 in product(index1[profile], index2[profile]):
+                    for partner in groups[mixed1, mixed2]:
+                        good1 = valid_roots(tuple(col[partner[t]] if t >= 0 else -1 for t in rm1))
+                        good2 = valid_roots(tuple(col[partner[t]] if t >= 0 else -1 for t in rm2))
+                        total += sum(1 for j1 in good1 for j2 in good2 if missing <= {j1, j2})
     return total

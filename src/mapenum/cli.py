@@ -8,6 +8,7 @@ consumer is tempted to parse them as floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -124,6 +125,8 @@ def _cmd_count_omega(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_d < 1:
+        raise ValueError(f"--max-d must be at least 1, got {args.max_d}")
     suites = list(verify.SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for name in suites:
@@ -136,7 +139,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="mapenum",
         description="Exact genus-indexed map counts with brute-force certification",

@@ -310,11 +310,16 @@ def test_canonical_anchors():
 
 
 def test_canonical_matches_checker_based_enumeration():
-    """Cross-check the pruned canonical counter against the dumbest version."""
+    """Cross-check the pruned canonical counter against the dumbest version.
+
+    The last three tuples have within-row pairs in both rows or s >= 2, so
+    several sets of mixed slots share one column profile.
+    """
     uncovered = set()
     for K, q1, q2, s in [
         (1, 0, 0, 1), (2, 0, 0, 2), (1, 1, 0, 1), (2, 1, 0, 1), (3, 0, 0, 2),
         (2, 0, 1, 1), (3, 1, 1, 1), (4, 0, 1, 1),
+        (2, 1, 1, 2), (2, 2, 1, 1), (3, 1, 0, 2),
     ]:
         count, seen = _naive_canonical(K, q1, q2, s)
         assert canonical_array_count_brute(K, q1, q2, s) == count
@@ -371,6 +376,11 @@ def _pairings_of(elements):
         remaining = rest[:i] + rest[i + 1 :]
         for sub in _pairings_of(remaining):
             yield [(first, other)] + sub
+
+
+def test_canonical_equals_surjections_at_d5():
+    """One d = 5 tuple with three mixed pairs, beyond the d <= 4 sweeps."""
+    assert canonical_array_count_brute(5, 1, 1, 3) == paired_surjection_count_brute(5, 1, 1, 3)
 
 
 def test_canonical_rejects_bad_arguments():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mapenum.cli import main
+from mapenum.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -127,6 +127,24 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["hz"])  # missing --q
     assert exc.value.code == 2
+
+
+def test_parser_is_reused_across_calls(capsys):
+    first = run(capsys, "gs", "--q1", "1", "--q2", "0", "--s", "2", "--by-genus")
+    with pytest.raises(SystemExit) as exc:
+        main(["gs", "--q1", "1", "--s", "2", "--method", "nope"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "gs", "--q1", "1", "--q2", "0", "--s", "2", "--by-genus") == first
+    assert first[0] == 0
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("max_d", ["0", "-2"])
+def test_verify_rejects_max_d_below_1(capsys, max_d):
+    code, out, err = run(capsys, "verify", "--max-d", max_d)
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-d must be at least 1, got {max_d}\n"
 
 
 def test_verify_single_suite(capsys):

@@ -19,14 +19,23 @@ def _load_spec(text: str, kind: str, fields: Mapping[str, type], **defaults) -> 
         raise ValueError(f"{kind} spec must be a JSON object")
     data = {**defaults, **data}
     for key, typ in fields.items():
-        if not isinstance(data.get(key), typ):
+        value = data.get(key)
+        # JSON true and false load as bool, a subclass of int
+        if not isinstance(value, typ) or isinstance(value, bool):
             raise ValueError(f'{kind} spec needs a "{key}" field of type {typ.__name__}')
     return data
 
 
+def _as_int(x, label: str) -> int:
+    """``x`` itself if it is an integer: floats and bools are rejected, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{label} must be integers, got {x!r}")
+    return x
+
+
 def _as_occupancy(w) -> tuple[tuple[int, ...], tuple[int, ...]]:
     try:
-        w = tuple(tuple(int(x) for x in row) for row in w)
+        w = tuple(tuple(_as_int(x, "occupancy entries") for x in row) for row in w)
     except TypeError:
         raise ValueError("occupancy must be a 2 x K matrix of integers") from None
     if len(w) != 2 or len(w[0]) != len(w[1]):
@@ -38,7 +47,7 @@ def _as_occupancy(w) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _as_marks(marks, K: int, label: str) -> frozenset[int]:
     try:
-        marks = frozenset(int(j) for j in marks)
+        marks = frozenset(_as_int(j, f"{label} columns") for j in marks)
     except TypeError:
         raise ValueError(f"{label} must be a list of column indices") from None
     if not marks:
@@ -54,7 +63,7 @@ def _as_arrows(arrows, r1: frozenset[int], K: int) -> tuple[tuple[int, int], ...
     else:
         items = arrows
     try:
-        pairs = sorted((int(t), int(h)) for t, h in items)
+        pairs = sorted((int(t), _as_int(h, "arrow heads")) for t, h in items)
     except TypeError:
         raise ValueError("phi must map columns to columns") from None
     tails = [t for t, _ in pairs]
@@ -272,7 +281,7 @@ class SubstructureOmega:
 
     def __post_init__(self) -> None:
         try:
-            w = tuple(int(x) for x in self.w)
+            w = tuple(_as_int(x, "occupancy entries") for x in self.w)
         except TypeError:
             raise ValueError("occupancy must be a list of integers") from None
         object.__setattr__(self, "w", w)
@@ -280,6 +289,8 @@ class SubstructureOmega:
             raise ValueError("occupancy length must equal K >= 1")
         if any(x < 0 for x in w):
             raise ValueError("occupancy must be non-negative")
+        if sum(w) == 0:
+            raise ValueError("occupancy must hold at least one vertex")
         if not (1 <= self.r1 <= self.K and 1 <= self.r2 <= self.K):
             raise ValueError("mark counts must satisfy 1 <= R_i <= K")
 

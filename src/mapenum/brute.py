@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .arrays import SubstructureGamma, SubstructureOmega, _rooted_forest
-from .exact import CycleCountVector, Pairing, TwoRowGround
+from .exact import CycleCountVector, Pairing
 
 
 # ----------------------------------------------------------------------
@@ -148,41 +148,30 @@ def gs_counts_brute(q1: int, q2: int, s: int) -> CycleCountVector:
 
 
 @lru_cache(maxsize=None)
-def _surjective_function_count(classes: int, K: int) -> int:
-    """Number of surjections from ``classes`` labelled blocks onto [K], by enumeration."""
-    return sum(1 for image in product(range(K), repeat=classes) if len(set(image)) == K)
+def _surjections(L: int, K: int) -> int:
+    """Number of surjections from L labelled blocks onto [K].
+
+    Counted by placing the last block: it takes one of the K values, which
+    the other blocks either also hit or leave to it alone.
+    """
+    if L == 0 or K == 0:
+        return int(L == K)
+    return K * (_surjections(L - 1, K) + _surjections(L - 1, K - 1))
 
 
 @lru_cache(maxsize=None)
 def paired_surjection_count_brute(K: int, q1: int, q2: int, s: int) -> int:
     """Count pairs (mu, pi) with pi surjective onto [K] and pi(mu(v)) = pi(gamma(v)).
 
-    For each pairing the constraint forces pi to be constant on the blocks
-    generated by identifying mu(v) with gamma(v) for every v; the surjections
-    on those blocks are counted by direct enumeration.
+    The constraint forces pi to be constant on the blocks generated by
+    identifying mu(v) with gamma(v) for every v, and those blocks are the
+    cycles of mu gamma^-1. So the count is the sum over the class's cycle
+    tally from ``_pairing_tally`` of (pairings with L cycles) * Surj(L, K).
     """
     if K < 1 or s < 1 or q1 < 0 or q2 < 0:
         raise ValueError("need K >= 1, s >= 1, q1, q2 >= 0")
-    ground = TwoRowGround(2 * q1 + s, 2 * q2 + s)
-    n = ground.size
-    gamma = ground.gamma()
-    total = 0
-    for partner in _class_partners(q1, q2, s):
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for v in range(n):
-            a, b = find(partner[v]), find(gamma[v])
-            if a != b:
-                parent[a] = b
-        blocks = len({find(x) for x in range(n)})
-        total += _surjective_function_count(blocks, K)
-    return total
+    tally = _pairing_tally(2 * q1 + s, 2 * q2 + s)
+    return sum(c * _surjections(L, K) for (mixed, L), c in tally.items() if mixed == s)
 
 
 # ----------------------------------------------------------------------
@@ -205,41 +194,56 @@ def _rightmost_slots(w: Sequence[int], base: int = 0) -> list[int]:
     return rightmost
 
 
-def _empty_columns(w: Sequence[int]) -> frozenset[int]:
-    """Columns of a row with occupancy ``w`` that hold no slot."""
-    return frozenset(j for j, count in enumerate(w) if count == 0)
+def _empty_columns(w: Sequence[int]) -> int:
+    """Bitmask of the columns of a row with occupancy ``w`` that hold no slot."""
+    return sum(1 << j for j, count in enumerate(w) if count == 0)
 
 
-def _count_forest_matchings(
-    w1: Sequence[int],
-    w2: Sequence[int],
-    r1: frozenset[int],
-    r2: frozenset[int],
-    phi: Mapping[int, int],
-    forced: tuple[int, int] | None = None,
+@lru_cache(maxsize=None)
+def _rooting_marks(psi: tuple[int, ...], R: int) -> tuple[int, ...]:
+    """Bitmasks of the R-sets of columns that root the forest map ``psi``.
+
+    psi[j] is the column of the partner of cell j's rightmost slot (-1 if
+    the cell is empty). Marking a column takes it out of the forest map,
+    which changes nothing here: the walk stops at a root before following it.
+    """
+    full = {j: v for j, v in enumerate(psi) if v >= 0}
+    return tuple(
+        sum(1 << j for j in marks)
+        for marks in combinations(range(len(psi)), R)
+        if _rooted_forest(full, set(marks))
+    )
+
+
+def _mark_pairs(
+    psi1: tuple[int, ...], R1: int, psi2: tuple[int, ...], R2: int, missing: int
 ) -> int:
-    """Count bijections between the row-1 and row-2 slots whose forest maps
-    are rooted at the marked columns.
+    """Pairs (M1, M2) of R1- and R2-sets of marks rooting the forest maps psi1
+    and psi2 whose union covers every column of the bitmask ``missing``."""
+    good2 = _rooting_marks(psi2, R2)
+    return sum(1 for m1 in _rooting_marks(psi1, R1) for m2 in good2 if not missing & ~(m1 | m2))
+
+
+def _count_forest_matchings(g: SubstructureGamma, forced: tuple[int, int] | None = None) -> int:
+    """Count bijections between the row-1 and row-2 slots of ``g`` whose
+    forest maps are rooted at its marked columns.
 
     ``forced=(t, u)`` restricts the count to matchings sending row-1 slot t
     to row-2 slot u (flat slot indices in row order).
     """
-    s = sum(w1)
-    if sum(w2) != s:
-        raise ValueError("rows must carry the same number of vertices")
+    (w1, w2), r1, r2, phi = g.w, g.r1, g.r2, g.phi
     col1 = _slot_columns(w1)
     col2 = _slot_columns(w2)
     # rightmost slot of each cell that feeds the forest map
     rm1 = [(j, t) for j, t in enumerate(_rightmost_slots(w1))
            if t >= 0 and j not in r1 and j not in phi]
     rm2 = [(j, u) for j, u in enumerate(_rightmost_slots(w2)) if u >= 0 and j not in r2]
-    base1 = dict(phi)
     total = 0
-    inv = [0] * s
-    for perm in permutations(range(s)):
+    inv = [0] * g.s
+    for perm in permutations(range(g.s)):
         if forced is not None and perm[forced[0]] != forced[1]:
             continue
-        psi1 = dict(base1)
+        psi1 = dict(phi)
         for j, t in rm1:
             psi1[j] = col2[perm[t]]
         for t, u in enumerate(perm):
@@ -252,7 +256,7 @@ def _count_forest_matchings(
 
 def gamma_count_brute(g: SubstructureGamma) -> int:
     """Arrays satisfying a substructure: matchings passing both forest checks."""
-    return _count_forest_matchings(g.w[0], g.w[1], g.r1, g.r2, g.phi)
+    return _count_forest_matchings(g)
 
 
 def gamma_count_brute_with_pair(
@@ -270,25 +274,28 @@ def gamma_count_brute_with_pair(
         raise ValueError("u is not a slot of row 2")
     t = sum(g.w[0][:vcol]) + vidx
     uflat = sum(g.w[1][:ucol]) + uidx
-    return _count_forest_matchings(g.w[0], g.w[1], g.r1, g.r2, g.phi, forced=(t, uflat))
+    return _count_forest_matchings(g, forced=(t, uflat))
 
 
 @lru_cache(maxsize=None)
 def omega_count_brute(o: SubstructureOmega) -> int:
     """Proper vertical arrays with the given balanced occupancy.
 
-    Sums the forest-matching count over every pair of mark subsets under
-    which all columns are non-empty; balance holds by construction.
+    Walks the s! slot matchings once. For each, counts the pairs of an
+    R1-set and an R2-set of marks that root both forest maps and cover every
+    column without vertices (non-empty); balance holds by construction.
     """
-    cols = range(o.K)
+    col = _slot_columns(o.w)
+    rm = _rightmost_slots(o.w)
+    missing = _empty_columns(o.w)
+    inv = [0] * o.s
     total = 0
-    for marks1 in combinations(cols, o.r1):
-        set1 = frozenset(marks1)
-        for marks2 in combinations(cols, o.r2):
-            set2 = frozenset(marks2)
-            if any(o.w[j] == 0 and j not in set1 and j not in set2 for j in cols):
-                continue
-            total += _count_forest_matchings(o.w, o.w, set1, set2, {})
+    for perm in permutations(range(o.s)):
+        for t, u in enumerate(perm):
+            inv[u] = t
+        psi1 = tuple(col[perm[t]] if t >= 0 else -1 for t in rm)
+        psi2 = tuple(col[inv[u]] if u >= 0 else -1 for u in rm)
+        total += _mark_pairs(psi1, o.r1, psi2, o.r2, missing)
     return total
 
 
@@ -327,9 +334,10 @@ def canonical_array_count_brute(K: int, q1: int, q2: int, s: int) -> int:
     """Proper paired arrays with a single marked column per row.
 
     Runs over occupancy pairs (w1, w2) and, for each, over the pairings that
-    balance it; checks the forest condition for each such candidate and
-    counts the mark columns (j1, j2) that root both forests and cover every
-    column without vertices (non-empty). Whether a pairing balances (w1, w2)
+    balance it. For each such candidate the mark-set step shared with
+    ``omega_count_brute`` counts the mark columns (j1, j2) that root both
+    forests and cover every column without vertices (non-empty): it is
+    ``_mark_pairs`` with R1 = R2 = 1. Whether a pairing balances (w1, w2)
     depends only on the set X of row-1 slots it pairs across and the set Y
     of row-2 slots they land on: it does when X has as many slots in each
     column under w1 as Y has under w2. So the pairings are grouped by
@@ -367,17 +375,6 @@ def canonical_array_count_brute(K: int, q1: int, q2: int, s: int) -> int:
         col2 = _slot_columns(w2)
         index2 = by_profile(sets2, col2)
         layouts2.append((col2, _rightmost_slots(w2, p1), _empty_columns(w2), index2))
-    roots: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def valid_roots(psi: tuple[int, ...]) -> tuple[int, ...]:
-        # psi[j] is the column of the partner of cell j's rightmost slot (-1
-        # if empty). Marking r takes r out of the forest map, which changes
-        # nothing here: the walk stops at a root before following it.
-        if psi not in roots:
-            full = {j: v for j, v in enumerate(psi) if v >= 0}
-            roots[psi] = tuple(r for r in range(K) if _rooted_forest(full, {r}))
-        return roots[psi]
-
     total = 0
     for w1 in _compositions(p1, K):
         col1 = _slot_columns(w1)
@@ -386,14 +383,14 @@ def canonical_array_count_brute(K: int, q1: int, q2: int, s: int) -> int:
         index1 = by_profile(sets1, col1)
         for col2, rm2, empty2, index2 in layouts2:
             missing = empty1 & empty2
-            if len(missing) > 2:
+            if missing.bit_count() > 2:
                 continue  # two marks cannot cover the empty columns
             col = col1 + col2
             # balance: as many mixed slots per column in each row
             for profile in index1.keys() & index2.keys():
                 for mixed1, mixed2 in product(index1[profile], index2[profile]):
                     for partner in groups[mixed1, mixed2]:
-                        good1 = valid_roots(tuple(col[partner[t]] if t >= 0 else -1 for t in rm1))
-                        good2 = valid_roots(tuple(col[partner[t]] if t >= 0 else -1 for t in rm2))
-                        total += sum(1 for j1 in good1 for j2 in good2 if missing <= {j1, j2})
+                        psi1 = tuple(col[partner[t]] if t >= 0 else -1 for t in rm1)
+                        psi2 = tuple(col[partner[t]] if t >= 0 else -1 for t in rm2)
+                        total += _mark_pairs(psi1, 1, psi2, 1, missing)
     return total

@@ -15,6 +15,7 @@ from mapenum.arrays import (
 from mapenum.brute import (
     _compositions,
     _pairing_tally,
+    _surjections,
     canonical_array_count_brute,
     enumerate_pairings_one_row,
     enumerate_pairings_two_row,
@@ -200,6 +201,42 @@ def test_paired_surjection_matches_naive_enumeration():
         assert paired_surjection_count_brute(K, q1, q2, s) == naive
 
 
+def test_surjection_recursion_matches_enumeration():
+    for L, K in product(range(7), repeat=2):
+        images = product(range(K), repeat=L)
+        assert _surjections(L, K) == sum(1 for image in images if len(set(image)) == K)
+
+
+def _union_find_blocks(partner, gamma):
+    """Blocks generated by identifying mu(v) with gamma(v) for every v."""
+    parent = list(range(len(partner)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for v in range(len(partner)):
+        a, b = find(partner[v]), find(gamma[v])
+        if a != b:
+            parent[a] = b
+    return len({find(x) for x in range(len(partner))})
+
+
+def test_surjection_blocks_are_the_cycles_of_mu_gamma_inverse():
+    """The identity behind reading paired surjections off the cycle tally."""
+    for d in range(1, 5):
+        for s in range(1, d + 1):
+            for q1 in range(d - s + 1):
+                q2 = d - s - q1
+                ground = TwoRowGround(2 * q1 + s, 2 * q2 + s)
+                gamma, gamma_inv = ground.gamma(), ground.gamma_inv()
+                for mu in enumerate_pairings_two_row(q1, q2, s):
+                    cycles = cycle_count([mu[gamma_inv[x]] for x in range(ground.size)])
+                    assert _union_find_blocks(mu.partner, gamma) == cycles
+
+
 # ----------------------------------------------------------------------
 # Matching counts under the forest condition
 # ----------------------------------------------------------------------
@@ -282,11 +319,13 @@ def test_omega_decomposes_vertical():
         assert total == vertical_array_count_brute(K, R1, R2, s)
 
 
-def test_vertical_brute_matches_checker_based_enumeration():
-    """Accepted candidates pass all three conditions; rejected ones fail one."""
-    from mapenum.arrays import PairedArray
+@pytest.mark.parametrize("K, R1, R2, s", [(2, 1, 1, 2), (3, 2, 1, 2), (3, 2, 2, 2), (3, 1, 2, 3)])
+def test_vertical_brute_matches_checker_based_enumeration(K, R1, R2, s):
+    """Accepted candidates pass all three conditions; rejected ones fail one.
 
-    K, R1, R2, s = 2, 1, 1, 2
+    With K = 3 and s <= 3 some occupancies leave a column without vertices,
+    so the marks (of size up to 2) decide the non-empty condition.
+    """
     accepted = 0
     for w in _compositions(s, K):
         for marks1 in combinations(range(K), R1):

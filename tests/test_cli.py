@@ -200,6 +200,11 @@ def test_output_is_deterministic(capsys):
         ("count-gamma", {"K": 2, "w": [[1, 1], [1, 1]], "R1": [[1]], "R2": [1], "phi": {}}),
         ("count-gamma", {"K": 2, "w": [[1, 1], [1, 1]], "R1": [1], "R2": [1], "phi": {"0": [0]}}),
         ("count-omega", {"K": 1, "R1": 1, "R2": 1, "w": [[3]]}),
+        ("count-omega", {"K": 2, "R1": 1, "R2": 1, "w": [0, 0]}),
+        ("count-omega", {"K": 1, "R1": 1, "R2": 1, "w": [1.5]}),
+        ("count-gamma", {"K": 2, "w": [[1, 1], [1, 1]], "R1": [1.7], "R2": [1], "phi": {}}),
+        ("count-omega", {"K": True, "R1": 1, "R2": 1, "w": [3]}),
+        ("count-gamma", {"K": 2, "w": [[1, 1], [1, 1]], "R1": [1], "R2": [1], "phi": {"0": 1.0}}),
     ],
 )
 def test_malformed_spec_exits_2(tmp_path, capsys, command, spec):

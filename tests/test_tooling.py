@@ -38,6 +38,39 @@ def test_no_true_division(path):
     assert lines == []
 
 
+CLOSED_FORMS = {"formulas", "verify", "cli"}
+
+
+def _package_imports(module):
+    """The mapenum modules that mapenum.<module> imports, read from its AST."""
+    package = ROOT / "src" / "mapenum"
+    path = package / f"{module}.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import names a module of this package
+            base = ".".join(filter(None, ["mapenum" if node.level else "", node.module]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    modules = {p.stem for p in package.glob("*.py")}
+    return {name.split(".")[1] for name in names if name.startswith("mapenum.")} & modules
+
+
+def test_oracles_do_not_import_closed_forms():
+    # an oracle that called a closed form would certify the formula against itself
+    seen, todo, offenders = set(), ["brute"], []
+    while todo:
+        module = todo.pop()
+        seen.add(module)
+        imported = _package_imports(module)
+        offenders += [f"{module} imports {name}" for name in sorted(imported & CLOSED_FORMS)]
+        todo += sorted(imported - seen - set(todo))
+    assert offenders == []
+    assert {"brute", "arrays", "exact"} <= seen
+
+
 def _load_genus_tables():
     path = ROOT / "scripts" / "genus_tables.py"
     spec = importlib.util.spec_from_file_location("genus_tables", path)

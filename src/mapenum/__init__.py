@@ -5,7 +5,6 @@ against independent brute-force enumeration oracles at desk scale.
 """
 
 from .arrays import (
-    ArrowedArray,
     ColumnTally,
     PairedArray,
     SubstructureGamma,
@@ -20,6 +19,7 @@ from .arrays import (
     critical_vertices,
     forest_function,
     is_irreducible,
+    open_columns,
     permute_columns,
 )
 from .brute import (

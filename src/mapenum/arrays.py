@@ -1,15 +1,18 @@
-"""Paired arrays, arrowed arrays, substructures, and their structural conditions.
+"""Paired arrays, substructures, their cells, and their structural conditions.
 
 Columns are indexed 0..K-1 throughout. Rows are named 1 and 2. Vertex slots
 are addressed globally: row-1 slots come first (column by column, left to
 right within a cell), then row-2 slots.
+
+A cell is open when it holds no mark and, in row 1, no arrow tail; a vertex
+is critical when it is the rightmost vertex of an open cell.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, Union
+from typing import AbstractSet, Iterable, Mapping, Sequence, Union
 
 
 def _load_spec(text: str, kind: str, fields: Mapping[str, type], **defaults) -> dict:
@@ -57,13 +60,22 @@ def _as_marks(marks, K: int, label: str) -> frozenset[int]:
     return marks
 
 
+def _as_tail(t) -> int:
+    # JSON object keys are strings: only plain ASCII decimal ones name a column
+    if isinstance(t, str):
+        if not (t.isascii() and t.isdigit()):
+            raise ValueError(f"arrow tails must be decimal column indices, got {t!r}")
+        return int(t)
+    return _as_int(t, "arrow tails")
+
+
 def _as_arrows(arrows, r1: frozenset[int], K: int) -> tuple[tuple[int, int], ...]:
     if isinstance(arrows, Mapping):
         items = arrows.items()
     else:
         items = arrows
     try:
-        pairs = sorted((int(t), _as_int(h, "arrow heads")) for t, h in items)
+        pairs = sorted((_as_tail(t), _as_int(h, "arrow heads")) for t, h in items)
     except TypeError:
         raise ValueError("phi must map columns to columns") from None
     tails = [t for t, _ in pairs]
@@ -78,22 +90,68 @@ def _as_arrows(arrows, r1: frozenset[int], K: int) -> tuple[tuple[int, int], ...
 
 
 # ----------------------------------------------------------------------
+# Slot layout of a row
+# ----------------------------------------------------------------------
+
+
+def _slot_columns(w: Sequence[int]) -> list[int]:
+    """Column of each slot of a row with occupancy ``w``, in slot order."""
+    return [j for j, count in enumerate(w) for _ in range(count)]
+
+
+def _rightmost_slots(w: Sequence[int], base: int = 0) -> list[int]:
+    """Slot id of the rightmost slot of each cell, in column order, for a row
+    with occupancy ``w`` whose first slot is ``base``; -1 for an empty cell."""
+    rightmost = []
+    for count in w:
+        base += count
+        rightmost.append(base - 1 if count else -1)
+    return rightmost
+
+
+def _empty_columns(w: Sequence[int]) -> int:
+    """Bitmask of the columns of a row with occupancy ``w`` that hold no slot."""
+    return sum(1 << j for j, count in enumerate(w) if count == 0)
+
+
+class _Cells:
+    """The 2 x K cells shared by arrays and substructures: occupancy ``w``,
+    marked columns ``r1`` and ``r2``, and ``arrows`` as sorted (tail, head)
+    pairs whose tails never sit in row-1-marked columns."""
+
+    @property
+    def K(self) -> int:
+        return len(self.w[0])
+
+    @property
+    def phi(self) -> dict[int, int]:
+        return dict(self.arrows)
+
+    @property
+    def tails(self) -> frozenset[int]:
+        return frozenset(t for t, _ in self.arrows)
+
+
+# ----------------------------------------------------------------------
 # Concrete arrays (with an explicit slot pairing)
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class PairedArray:
-    """2 x K array of ordered vertex slots, per-row marked columns, slot pairing.
+class PairedArray(_Cells):
+    """2 x K array of ordered vertex slots, per-row marked columns, slot
+    pairing, and arrows above row 1.
 
     ``pairing[t]`` is the partner slot of global slot t. Row i holds the
-    occupancy counts ``w[i-1]``; marked columns are ``r1`` and ``r2``.
+    occupancy counts ``w[i-1]``; marked columns are ``r1`` and ``r2``. An
+    array that carries arrows must be vertical: every pair mixed.
     """
 
     w: tuple[tuple[int, ...], tuple[int, ...]]
     r1: frozenset[int]
     r2: frozenset[int]
     pairing: tuple[int, ...]
+    arrows: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         w = _as_occupancy(self.w)
@@ -109,10 +167,9 @@ class PairedArray:
         for i, p in enumerate(pairing):
             if not 0 <= p < n or p == i or pairing[p] != i:
                 raise ValueError("pairing must be a fixed-point-free involution on the slots")
-
-    @property
-    def K(self) -> int:
-        return len(self.w[0])
+        object.__setattr__(self, "arrows", _as_arrows(self.arrows, self.r1, K))
+        if self.arrows and any(pairing[t] < self.p1 for t in range(self.p1)):
+            raise ValueError("arrays carrying arrows must be vertical: every pair mixed")
 
     @property
     def p1(self) -> int:
@@ -122,28 +179,16 @@ class PairedArray:
     def p2(self) -> int:
         return sum(self.w[1])
 
-    def slot_columns(self, row: int) -> list[int]:
-        """Column of each slot of the given row, in slot order."""
-        return [j for j, count in enumerate(self.w[row - 1]) for _ in range(count)]
-
-    def rightmost_slot(self, row: int, col: int) -> int | None:
-        """Global id of the rightmost slot of cell (row, col); None if empty."""
-        if self.w[row - 1][col] == 0:
-            return None
-        base = 0 if row == 1 else self.p1
-        return base + sum(self.w[row - 1][: col + 1]) - 1
-
     def is_mixed_slot(self, t: int) -> bool:
         return (t < self.p1) != (self.pairing[t] < self.p1)
 
     def mixed_counts(self, row: int) -> list[int]:
         """Number of mixed vertices per column in the given row."""
         counts = [0] * self.K
-        base, size = (0, self.p1) if row == 1 else (self.p1, self.p2)
-        columns = self.slot_columns(row)
-        for offset in range(size):
+        base = 0 if row == 1 else self.p1
+        for offset, j in enumerate(_slot_columns(self.w[row - 1])):
             if self.is_mixed_slot(base + offset):
-                counts[columns[offset]] += 1
+                counts[j] += 1
         return counts
 
     @property
@@ -152,57 +197,13 @@ class PairedArray:
         return sum(1 for t in range(self.p1) if self.is_mixed_slot(t))
 
 
-@dataclass(frozen=True)
-class ArrowedArray:
-    """Vertical paired array (every pair mixed) plus arrows above row 1.
-
-    ``arrows`` is a partial column-to-column function, stored as sorted
-    (tail, head) pairs; tails never sit in row-1-marked columns.
-    """
-
-    w: tuple[tuple[int, ...], tuple[int, ...]]
-    r1: frozenset[int]
-    r2: frozenset[int]
-    pairing: tuple[int, ...]
-    arrows: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        base = PairedArray(self.w, self.r1, self.r2, self.pairing)
-        object.__setattr__(self, "w", base.w)
-        object.__setattr__(self, "r1", base.r1)
-        object.__setattr__(self, "r2", base.r2)
-        object.__setattr__(self, "pairing", base.pairing)
-        object.__setattr__(self, "arrows", _as_arrows(self.arrows, base.r1, base.K))
-        for t in range(base.p1):
-            if base.pairing[t] < base.p1:
-                raise ValueError("arrowed arrays must be vertical: every pair mixed")
-
-    # delegate the slot machinery to PairedArray
-    K = PairedArray.K
-    p1 = PairedArray.p1
-    p2 = PairedArray.p2
-    s = PairedArray.s
-    slot_columns = PairedArray.slot_columns
-    rightmost_slot = PairedArray.rightmost_slot
-    is_mixed_slot = PairedArray.is_mixed_slot
-    mixed_counts = PairedArray.mixed_counts
-
-    @property
-    def phi(self) -> dict[int, int]:
-        return dict(self.arrows)
-
-    @property
-    def tails(self) -> frozenset[int]:
-        return frozenset(t for t, _ in self.arrows)
-
-
 # ----------------------------------------------------------------------
 # Substructures (pairing left free)
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SubstructureGamma:
+class SubstructureGamma(_Cells):
     """Occupancy, marks, and arrows fixed; the slot pairing left free.
 
     Both rows carry the same number of vertices s (the arrays counted are
@@ -231,20 +232,8 @@ class SubstructureGamma:
         return cls(w, r1, r2, phi or {})
 
     @property
-    def K(self) -> int:
-        return len(self.w[0])
-
-    @property
     def s(self) -> int:
         return sum(self.w[0])
-
-    @property
-    def phi(self) -> dict[int, int]:
-        return dict(self.arrows)
-
-    @property
-    def tails(self) -> frozenset[int]:
-        return frozenset(t for t, _ in self.arrows)
 
     def to_json(self) -> str:
         payload = {
@@ -263,6 +252,8 @@ class SubstructureGamma:
         w = _as_occupancy(data["w"])
         if len(w[0]) != data["K"]:
             raise ValueError("K does not match the occupancy width")
+        if not any(w[0] + w[1]):
+            raise ValueError("occupancy must hold at least one vertex")
         return cls.of(w, data["R1"], data["R2"], data["phi"])
 
 
@@ -313,15 +304,14 @@ class SubstructureOmega:
         return cls(data["K"], data["R1"], data["R2"], tuple(data["w"]))
 
 
-ArrayLike = Union[PairedArray, ArrowedArray, SubstructureGamma]
+ArrayLike = Union[PairedArray, SubstructureGamma]
 
 
-def _phi_of(a: ArrayLike) -> dict[int, int]:
-    return dict(getattr(a, "arrows", ()))
-
-
-def _tails_of(a: ArrayLike) -> frozenset[int]:
-    return frozenset(t for t, _ in getattr(a, "arrows", ()))
+def open_columns(a: ArrayLike, row: int) -> list[int]:
+    """Columns whose cell in ``row`` is open: unmarked and, in row 1, free of
+    arrow tails. Depends only on the marks and arrows."""
+    closed = a.r1 | a.tails if row == 1 else a.r2
+    return [j for j in range(a.K) if j not in closed]
 
 
 # ----------------------------------------------------------------------
@@ -331,12 +321,9 @@ def _tails_of(a: ArrayLike) -> frozenset[int]:
 
 def check_nonempty(a: ArrayLike) -> bool:
     """Every column holds at least one object (vertex, mark, or arrow tail)."""
-    tails = _tails_of(a)
     w1, w2 = a.w
-    return all(
-        w1[j] > 0 or w2[j] > 0 or j in a.r1 or j in a.r2 or j in tails
-        for j in range(len(w1))
-    )
+    objects = a.r1 | a.r2 | a.tails
+    return all(w1[j] > 0 or w2[j] > 0 or j in objects for j in range(a.K))
 
 
 def check_balance_mixed(a: PairedArray) -> bool:
@@ -345,7 +332,7 @@ def check_balance_mixed(a: PairedArray) -> bool:
 
 
 def check_balance_vertex(a: ArrayLike) -> bool:
-    """Per-column equality of total vertex counts (arrowed arrays, substructures)."""
+    """Per-column equality of total vertex counts (substructures)."""
     return a.w[0] == a.w[1]
 
 
@@ -361,43 +348,27 @@ def check_balance(a: ArrayLike) -> bool:
 
 
 def check_full(a: ArrayLike) -> bool:
-    """Every cell (not just every column) holds at least one object."""
-    tails = _tails_of(a)
-    w1, w2 = a.w
-    for j in range(len(w1)):
-        if w1[j] == 0 and j not in a.r1 and j not in tails:
-            return False
-        if w2[j] == 0 and j not in a.r2:
-            return False
-    return True
+    """Every cell (not just every column) holds at least one object: every
+    open cell holds a vertex."""
+    return all(a.w[row - 1][j] > 0 for row in (1, 2) for j in open_columns(a, row))
 
 
-def forest_function(a: Union[PairedArray, ArrowedArray], row: int) -> dict[int, int]:
+def forest_function(a: PairedArray, row: int) -> dict[int, int]:
     """The map driving the forest condition for one row.
 
-    In row 1 an arrow from column j overrides the vertices of cell (1, j);
-    otherwise an unmarked non-empty cell maps to the column holding the
-    partner of its rightmost vertex. Marked columns are outside the domain.
+    Each critical cell maps to the column holding the partner of its
+    rightmost vertex; in row 1 each arrow tail maps to the arrow's head.
     """
     if row not in (1, 2):
         raise ValueError("row must be 1 or 2")
-    if not isinstance(a, (PairedArray, ArrowedArray)):
+    if not isinstance(a, PairedArray):
         raise TypeError("forest_function needs a concrete array with a pairing")
-    marks = a.r1 if row == 1 else a.r2
-    psi: dict[int, int] = {}
-    if row == 1:
-        psi.update(_phi_of(a))
-    col1 = a.slot_columns(1)
-    col2 = a.slot_columns(2)
-    p1 = a.p1
-    for j in range(a.K):
-        if j in marks or j in psi:
-            continue
-        t = a.rightmost_slot(row, j)
-        if t is None:
-            continue
-        u = a.pairing[t]
-        psi[j] = col1[u] if u < p1 else col2[u - p1]
+    col = _slot_columns(a.w[0]) + _slot_columns(a.w[1])
+    rightmost = _rightmost_slots(a.w[row - 1], 0 if row == 1 else a.p1)
+    psi = a.phi if row == 1 else {}
+    for j in open_columns(a, row):
+        if rightmost[j] >= 0:
+            psi[j] = col[a.pairing[rightmost[j]]]
     return psi
 
 
@@ -420,7 +391,7 @@ def _rooted_forest(psi: Mapping[int, int], roots: AbstractSet[int]) -> bool:
     return True
 
 
-def check_forest(a: Union[PairedArray, ArrowedArray]) -> bool:
+def check_forest(a: PairedArray) -> bool:
     """Both per-row forest maps reach the marked columns without cycles."""
     return _rooted_forest(forest_function(a, 1), a.r1) and _rooted_forest(
         forest_function(a, 2), a.r2
@@ -428,21 +399,9 @@ def check_forest(a: Union[PairedArray, ArrowedArray]) -> bool:
 
 
 def critical_vertices(g: ArrayLike) -> set[tuple[int, int]]:
-    """Cells whose rightmost vertex is critical, as (row, column) pairs.
-
-    A vertex is critical when it is the rightmost of its cell and the cell
-    is neither marked nor holds an arrow tail; this depends only on the
-    occupancy, marks, and arrows.
-    """
-    tails = _tails_of(g)
-    out = set()
-    w1, w2 = g.w
-    for j in range(len(w1)):
-        if w1[j] > 0 and j not in g.r1 and j not in tails:
-            out.add((1, j))
-        if w2[j] > 0 and j not in g.r2:
-            out.add((2, j))
-    return out
+    """Cells holding a critical vertex, as (row, column) pairs: the open
+    cells that hold a vertex."""
+    return {(row, j) for row in (1, 2) for j in open_columns(g, row) if g.w[row - 1][j] > 0}
 
 
 def is_irreducible(g: SubstructureGamma) -> bool:

@@ -9,9 +9,17 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .arrays import SubstructureGamma, SubstructureOmega, _rooted_forest
+from .arrays import (
+    SubstructureGamma,
+    SubstructureOmega,
+    _empty_columns,
+    _rightmost_slots,
+    _rooted_forest,
+    _slot_columns,
+    open_columns,
+)
 from .exact import CycleCountVector, Pairing
 
 
@@ -179,26 +187,6 @@ def paired_surjection_count_brute(K: int, q1: int, q2: int, s: int) -> int:
 # ----------------------------------------------------------------------
 
 
-def _slot_columns(w: Sequence[int]) -> list[int]:
-    """Column of each slot of a row with occupancy ``w``, in slot order."""
-    return [j for j, count in enumerate(w) for _ in range(count)]
-
-
-def _rightmost_slots(w: Sequence[int], base: int = 0) -> list[int]:
-    """Slot id of the rightmost slot of each cell, in column order, for a row
-    with occupancy ``w`` whose first slot is ``base``; -1 for an empty cell."""
-    rightmost = []
-    for count in w:
-        base += count
-        rightmost.append(base - 1 if count else -1)
-    return rightmost
-
-
-def _empty_columns(w: Sequence[int]) -> int:
-    """Bitmask of the columns of a row with occupancy ``w`` that hold no slot."""
-    return sum(1 << j for j, count in enumerate(w) if count == 0)
-
-
 @lru_cache(maxsize=None)
 def _rooting_marks(psi: tuple[int, ...], R: int) -> tuple[int, ...]:
     """Bitmasks of the R-sets of columns that root the forest map ``psi``.
@@ -234,10 +222,10 @@ def _count_forest_matchings(g: SubstructureGamma, forced: tuple[int, int] | None
     (w1, w2), r1, r2, phi = g.w, g.r1, g.r2, g.phi
     col1 = _slot_columns(w1)
     col2 = _slot_columns(w2)
-    # rightmost slot of each cell that feeds the forest map
-    rm1 = [(j, t) for j, t in enumerate(_rightmost_slots(w1))
-           if t >= 0 and j not in r1 and j not in phi]
-    rm2 = [(j, u) for j, u in enumerate(_rightmost_slots(w2)) if u >= 0 and j not in r2]
+    # the critical slots, rightmost in their open cells, feed the forest maps
+    last1, last2 = _rightmost_slots(w1), _rightmost_slots(w2)
+    rm1 = [(j, last1[j]) for j in open_columns(g, 1) if w1[j]]
+    rm2 = [(j, last2[j]) for j in open_columns(g, 2) if w2[j]]
     total = 0
     inv = [0] * g.s
     for perm in permutations(range(g.s)):

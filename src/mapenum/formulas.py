@@ -12,7 +12,10 @@ from __future__ import annotations
 from math import factorial, perm
 from typing import Callable, Mapping
 
-from .arrays import SubstructureGamma, SubstructureOmega, check_full, classify_columns, is_irreducible
+from .arrays import (
+    SubstructureGamma, SubstructureOmega, check_full, classify_columns, critical_vertices,
+    is_irreducible,
+)
 from .exact import BinomialPoly, CycleCountVector, binomial, double_factorial, multinomial
 
 
@@ -139,13 +142,33 @@ def vertical_count_formula(K: int, R1: int, R2: int, s: int) -> int:
     )
 
 
-def gamma_count_formula(g: SubstructureGamma) -> int:
-    """Arrays satisfying an irreducible full substructure, from its column tally.
+def _substructure_count(g: SubstructureGamma, context: str) -> int:
+    """The body of both gamma formulas, from the column tally of ``g``.
 
-    Three branches depending on how the vertex count s compares with the
-    number A of doubly-unmarked arrow-free columns: zero when s <= A, a
-    single product when s = A+1, and otherwise
+    A is the number of columns whose two cells both hold a critical vertex.
+    Zero when s <= A, a single product when s = A+1, and otherwise
     (s-1)! (first / (s-A) + second / ((s-A)(s-A-1))).
+    """
+    t = classify_columns(g)
+    crit = critical_vertices(g)
+    A = sum(1 for row, j in crit if row == 1 and (2, j) in crit)
+    s = g.s
+    if s <= A:
+        return 0
+    first = (t.b2 + t.d2) * (t.atil1 + t.c1 + t.ctil1 + t.d1)
+    if s == A + 1:
+        return factorial(s - 1) * first
+    second = t.b1 * (t.c2 + t.cbar2 + t.ctil2) - t.cbar1 * (t.b2 + t.d2)
+    num = factorial(s - 1) * (first * (s - A - 1) + second)
+    return _as_count(num, (s - A) * (s - A - 1), context)
+
+
+def gamma_count_formula(g: SubstructureGamma) -> int:
+    """Arrays satisfying an irreducible full substructure.
+
+    A counts the columns whose two cells both hold a critical vertex; the
+    full condition makes these the doubly-unmarked arrow-free columns, the A
+    of ``classify_columns``.
     """
     if g.s < 1:
         raise ValueError("the substructure must carry at least one vertex per row")
@@ -153,51 +176,20 @@ def gamma_count_formula(g: SubstructureGamma) -> int:
         raise ValueError("substructure must be irreducible")
     if not check_full(g):
         raise ValueError("substructure must satisfy the full condition")
-    t = classify_columns(g)
-    s = g.s
-    if s <= t.A:
-        return 0
-    first = (t.b2 + t.d2) * (t.atil1 + t.c1 + t.ctil1 + t.d1)
-    if s == t.A + 1:
-        return factorial(s - 1) * first
-    second = t.b1 * (t.c2 + t.cbar2 + t.ctil2) - t.cbar1 * (t.b2 + t.d2)
-    num = factorial(s - 1) * (first * (s - t.A - 1) + second)
-    return _as_count(num, (s - t.A) * (s - t.A - 1), "gamma_count_formula")
+    return _substructure_count(g, "gamma_count_formula")
 
 
 def gamma_count_formula_noarrows(g: SubstructureGamma) -> int:
     """Arrow-free version of the substructure count; full condition not needed.
 
-    Here A counts the columns with no marked cell and at least one vertex in
-    each row, and only the mark pattern of the other columns enters.
+    The same body, with the same A: here the columns with no marked cell and
+    at least one vertex in each row.
     """
     if g.arrows:
         raise ValueError("this formula needs an empty arrow map")
     if g.s < 1:
         raise ValueError("the substructure must carry at least one vertex per row")
-    w1, w2 = g.w
-    s = g.s
-    A = b1 = b2 = c1 = c2 = d1 = d2 = 0
-    for j in range(g.K):
-        m1, m2 = j in g.r1, j in g.r2
-        if m1 and m2:
-            d1 += w1[j]
-            d2 += w2[j]
-        elif m1:
-            b1 += w1[j]
-            b2 += w2[j]
-        elif m2:
-            c1 += w1[j]
-            c2 += w2[j]
-        elif w1[j] > 0 and w2[j] > 0:
-            A += 1
-    if s <= A:
-        return 0
-    first = (b2 + d2) * (c1 + d1)
-    if s == A + 1:
-        return factorial(s - 1) * first
-    num = factorial(s - 1) * (first * (s - A - 1) + b1 * c2)
-    return _as_count(num, (s - A) * (s - A - 1), "gamma_count_formula_noarrows")
+    return _substructure_count(g, "gamma_count_formula_noarrows")
 
 
 def omega_count_formula(o: SubstructureOmega) -> int:

@@ -15,6 +15,7 @@ from .arrays import (
     SubstructureGamma,
     arrow_cycle,
     check_full,
+    critical_vertices,
     is_irreducible,
     permute_columns,
 )
@@ -95,12 +96,12 @@ def column_pointing(g: SubstructureGamma, X: int, Y: int) -> SubstructureGamma:
     if X == Y:
         raise ValueError("column pointing needs two distinct columns")
     w1, w2 = g.w
-    tails = g.tails
-    if w1[X] < 1 or X in g.r1 or X in tails:
+    crit = critical_vertices(g)
+    if (1, X) not in crit:
         raise ValueError(f"cell (1, {X}) does not hold a critical vertex")
     if w2[Y] < 1:
         raise ValueError(f"cell (2, {Y}) is empty")
-    if Y not in g.r2 and w2[Y] < 2:
+    if (2, Y) in crit and w2[Y] < 2:
         raise ValueError(f"the only vertex of cell (2, {Y}) is critical")
     new_w1 = list(w1)
     new_w2 = list(w2)
@@ -128,11 +129,10 @@ def column_merging(g: SubstructureGamma, X: int, Y: int) -> SubstructureGamma:
         raise ValueError("column merging needs two distinct columns")
     if not check_full(g):
         raise ValueError("column merging requires the substructure to satisfy the full condition")
-    w1, w2 = g.w
-    tails = g.tails
-    if w1[X] < 1 or X in g.r1 or X in tails:
+    crit = critical_vertices(g)
+    if (1, X) not in crit:
         raise ValueError(f"cell (1, {X}) does not hold a critical vertex")
-    if w2[Y] < 1 or Y in g.r2:
+    if (2, Y) not in crit:
         raise ValueError(f"cell (2, {Y}) does not hold a critical vertex")
     K = g.K
     last = K - 1

@@ -19,6 +19,7 @@ from .arrays import (
     check_full,
     check_nonempty,
     classify_columns,
+    critical_vertices,
 )
 from .exact import binomial, double_factorial
 from .formulas import (
@@ -413,8 +414,10 @@ def _sweep_pointing(rng: random.Random, count: int) -> list[str]:
             r1, r2, phi = _random_lemma_base(rng, K, with_arrows=True)
             g = _random_gamma(rng, K, rng.randint(2, 6), phi, r1, r2)
             w1, w2 = g.w
-            xs = [j for j in range(K) if w1[j] >= 1 and j not in r1 and j not in g.tails]
-            ys = [j for j in range(K) if w2[j] >= 2 or (j in r2 and w2[j] >= 1)]
+            crit = critical_vertices(g)
+            xs = [j for j in range(K) if (1, j) in crit]
+            # cells with a non-critical vertex: more vertices than critical ones
+            ys = [j for j in range(K) if w2[j] > ((2, j) in crit)]
             choices = [(x, y) for x in xs for y in ys if x != y]
             if choices:
                 X, Y = rng.choice(choices)
@@ -446,8 +449,9 @@ def _sweep_merging(rng: random.Random, count: int) -> list[str]:
             w1 = _top_up(rng, [1 if j in need1 else 0 for j in range(K)], s)
             w2 = _top_up(rng, [1 if j in need2 else 0 for j in range(K)], s)
             g = SubstructureGamma((w1, w2), r1, r2, tuple(sorted(phi.items())))
-            xs = [j for j in range(K) if w1[j] >= 1 and j not in r1 and j not in g.tails]
-            ys = [j for j in range(K) if w2[j] >= 1 and j not in r2]
+            crit = critical_vertices(g)
+            xs = [j for j in range(K) if (1, j) in crit]
+            ys = [j for j in range(K) if (2, j) in crit]
             choices = [(x, y) for x in xs for y in ys if x != y]
             if choices and check_full(g):
                 X, Y = rng.choice(choices)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mapenum.arrays import (
-    ArrowedArray,
     PairedArray,
     SubstructureGamma,
     SubstructureOmega,
@@ -123,12 +122,18 @@ def vertical_array(w, r1, r2, matching, phi=None):
     for t, u in enumerate(matching):
         pairing[t] = s + u
         pairing[s + u] = t
-    if phi is None:
-        return PairedArray(tuple(map(tuple, w)), frozenset(r1), frozenset(r2), tuple(pairing))
-    return ArrowedArray(
+    return PairedArray(
         tuple(map(tuple, w)), frozenset(r1), frozenset(r2), tuple(pairing),
-        tuple(sorted(phi.items())),
+        tuple(sorted((phi or {}).items())),
     )
+
+
+def test_arrows_need_a_vertical_array():
+    w, r1, r2 = ((2, 1), (1, 0)), {1}, {0}
+    pairing = (1, 0, 3, 2)  # slots 0 and 1 pair within row 1
+    assert PairedArray(w, r1, r2, pairing).s == 1
+    with pytest.raises(ValueError, match="vertical"):
+        PairedArray(w, r1, r2, pairing, ((0, 1),))
 
 
 def test_forest_function_all_marked_is_empty():
@@ -206,6 +211,55 @@ def test_critical_vertices():
     assert (1, 2) not in crits        # holds an arrow tail
     assert (2, 0) in crits and (2, 1) in crits
     assert (2, 2) not in crits        # marked in row 2
+
+
+def _random_cells(rng, p1, p2):
+    """Random occupancy with row totals p1 and p2, marks, and row-1 arrows."""
+    K = rng.randint(1, 4)
+    w = []
+    for total in (p1, p2):
+        row = [0] * K
+        for _ in range(total):
+            row[rng.randrange(K)] += 1
+        w.append(tuple(row))
+    r1 = frozenset(rng.sample(range(K), rng.randint(1, K)))
+    r2 = frozenset(rng.sample(range(K), rng.randint(1, K)))
+    phi = {j: rng.randrange(K) for j in range(K) if j not in r1 and rng.random() < 0.4}
+    return tuple(w), r1, r2, phi
+
+
+def test_open_cells_follow_the_cell_rules():
+    # a cell is open when it holds no mark and, in row 1, no arrow tail
+    import random
+
+    rng = random.Random(11)
+    for _ in range(300):
+        s = rng.randint(1, 4)
+        w, r1, r2, phi = _random_cells(rng, s, s)
+        matching = list(range(s))
+        rng.shuffle(matching)
+        arrowed = vertical_array(w, r1, r2, matching, phi)
+        # a general paired array: within-row pairs allowed, no arrows
+        p1, p2 = rng.randint(0, 4), rng.randint(0, 4)
+        p2 += (p1 + p2) % 2
+        w2, q1, q2, _ = _random_cells(rng, p1, p2)
+        slots = list(range(p1 + p2))
+        rng.shuffle(slots)
+        pairing = [0] * len(slots)
+        for a, b in zip(slots[::2], slots[1::2]):
+            pairing[a], pairing[b] = b, a
+        paired = PairedArray(w2, q1, q2, tuple(pairing))
+        for a in (gamma_of(w, r1, r2, phi), arrowed, paired):
+            cells = {(row, j) for row in (1, 2) for j in range(a.K)}
+            occupied = {(row, j) for row, j in cells if a.w[row - 1][j] > 0}
+            closed = {(1, j) for j in a.r1 | set(a.phi)} | {(2, j) for j in a.r2}
+            open_cells = cells - closed
+            assert check_full(a) == (open_cells <= occupied)
+            assert critical_vertices(a) == open_cells & occupied
+        for a in (arrowed, paired):
+            crit = critical_vertices(a)
+            assert set(forest_function(a, 2)) == {j for row, j in crit if row == 2}
+            assert set(forest_function(a, 1)) == {j for row, j in crit if row == 1} | set(a.phi)
 
 
 def test_is_irreducible():

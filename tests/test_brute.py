@@ -277,8 +277,6 @@ def test_gamma_count_matches_checker_based_enumeration():
         SubstructureGamma.of([[1, 1, 1], [2, 1, 0]], {2}, {0, 1}, {}),
         SubstructureGamma.of([[0, 2], [1, 1]], {1}, {1}, {0: 1}),
     ]
-    from mapenum.arrays import ArrowedArray
-
     for g in cases:
         s = g.s
         direct = 0
@@ -287,7 +285,7 @@ def test_gamma_count_matches_checker_based_enumeration():
             for t, u in enumerate(matching):
                 pairing[t] = s + u
                 pairing[s + u] = t
-            arr = ArrowedArray(g.w, g.r1, g.r2, tuple(pairing), g.arrows)
+            arr = PairedArray(g.w, g.r1, g.r2, tuple(pairing), g.arrows)
             if check_forest(arr):
                 direct += 1
         assert gamma_count_brute(g) == direct

@@ -205,6 +205,10 @@ def test_output_is_deterministic(capsys):
         ("count-gamma", {"K": 2, "w": [[1, 1], [1, 1]], "R1": [1.7], "R2": [1], "phi": {}}),
         ("count-omega", {"K": True, "R1": 1, "R2": 1, "w": [3]}),
         ("count-gamma", {"K": 2, "w": [[1, 1], [1, 1]], "R1": [1], "R2": [1], "phi": {"0": 1.0}}),
+        ("count-gamma", {"K": 2, "w": [[1, 1], [1, 1]], "R1": [1], "R2": [1], "phi": {" +0 ": 1}}),
+        ("count-gamma", {"K": 2, "w": [[1, 1], [1, 1]], "R1": [1], "R2": [1], "phi": {"0_0": 1}}),
+        ("count-gamma", {"K": 2, "w": [[1, 1], [1, 1]], "R1": [1], "R2": [1], "phi": {"\u0660": 1}}),
+        ("count-gamma", {"K": 2, "w": [[0, 0], [0, 0]], "R1": [0], "R2": [1], "phi": {}}),
     ],
 )
 def test_malformed_spec_exits_2(tmp_path, capsys, command, spec):

@@ -159,7 +159,10 @@ class PairedArray(_Cells):
         K = len(w[0])
         object.__setattr__(self, "r1", _as_marks(self.r1, K, "r1"))
         object.__setattr__(self, "r2", _as_marks(self.r2, K, "r2"))
-        pairing = tuple(int(t) for t in self.pairing)
+        try:
+            pairing = tuple(_as_int(t, "pairing entries") for t in self.pairing)
+        except TypeError:
+            raise ValueError("pairing must be a sequence of slot indices") from None
         object.__setattr__(self, "pairing", pairing)
         n = sum(w[0]) + sum(w[1])
         if len(pairing) != n:

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import factorial
 from typing import Iterator
 
 from .arrays import (
     SubstructureGamma,
     SubstructureOmega,
+    _as_int,
     _empty_columns,
     _rightmost_slots,
     _rooted_forest,
@@ -218,28 +220,89 @@ def _count_forest_matchings(g: SubstructureGamma, forced: tuple[int, int] | None
 
     ``forced=(t, u)`` restricts the count to matchings sending row-1 slot t
     to row-2 slot u (flat slot indices in row order).
+
+    Only the critical slots, rightmost in their open cells, feed the forest
+    maps. So on row 2 each critical slot is a group of its own, and the other
+    slots of each cell form one group whose members are interchangeable. The
+    walk places the row-1 slots in slot order, each into a group with room,
+    counts the complete placements, and multiplies by the ways to match each
+    group to its slots, |group|!; with ``forced`` slot t goes only into u's
+    group, which then leaves (|group| - 1)! ways.
+
+    Each placement that adds an edge to psi1 (a critical row-1 slot) or psi2
+    (a critical row-2 slot) is checked with ``_rooted_forest`` on the map so
+    far, with every column whose edge is still to come taken as a root. A
+    column not placed yet may still reach a root, so this rejects only what
+    no completion can fix: a full map rooted at the marks has every partial
+    walk end at a mark or at such a column. psi1 starts as the arrows, so a
+    cycle among them or an arrow into an open empty cell gives 0 before any
+    placement, and at a complete placement no column is pending, so the last
+    check of each map is the full definition.
     """
-    (w1, w2), r1, r2, phi = g.w, g.r1, g.r2, g.phi
+    (w1, w2), s = g.w, g.s
     col1 = _slot_columns(w1)
-    col2 = _slot_columns(w2)
-    # the critical slots, rightmost in their open cells, feed the forest maps
-    last1, last2 = _rightmost_slots(w1), _rightmost_slots(w2)
-    rm1 = [(j, last1[j]) for j in open_columns(g, 1) if w1[j]]
-    rm2 = [(j, last2[j]) for j in open_columns(g, 2) if w2[j]]
-    total = 0
-    inv = [0] * g.s
-    for perm in permutations(range(g.s)):
-        if forced is not None and perm[forced[0]] != forced[1]:
-            continue
-        psi1 = dict(phi)
-        for j, t in rm1:
-            psi1[j] = col2[perm[t]]
-        for t, u in enumerate(perm):
-            inv[u] = t
-        psi2 = {j: col1[inv[u]] for j, u in rm2}
-        if _rooted_forest(psi1, r1) and _rooted_forest(psi2, r2):
-            total += 1
-    return total
+    last1 = _rightmost_slots(w1)
+    crit1 = {last1[j]: j for j in open_columns(g, 1) if w1[j]}  # critical slot -> column
+    open2 = set(open_columns(g, 2))
+    groups: list[tuple[int, bool]] = []  # row-2 groups as (column, critical)
+    room: list[int] = []
+    for j, count in enumerate(w2):
+        critical = j in open2 and count > 0
+        if count > critical:
+            groups.append((j, False))
+            room.append(count - critical)
+        if critical:
+            groups.append((j, True))
+            room.append(1)
+    options = [range(len(groups))] * s
+    forced_group = -1
+    if forced is not None:
+        t, u = forced
+        j = _slot_columns(w2)[u]
+        forced_group = groups.index((j, j in open2 and u == _rightmost_slots(w2)[j]))
+        options[t] = (forced_group,)
+    weight = 1
+    for k, size in enumerate(room):
+        weight *= factorial(size - (k == forced_group))
+    # the marks, and the columns whose edge is still to come
+    roots1 = set(g.r1) | set(crit1.values())
+    roots2 = set(g.r2) | {j for j, critical in groups if critical}
+    psi1: dict[int, int] = g.phi
+    psi2: dict[int, int] = {}
+    if not _rooted_forest(psi1, roots1):
+        return 0
+
+    def walk(t: int) -> int:
+        if t == s:
+            return 1
+        j1 = crit1.get(t)
+        if j1 is not None:
+            roots1.discard(j1)
+        leaves = 0
+        for k in options[t]:
+            if not room[k]:
+                continue
+            j2, critical = groups[k]
+            if j1 is not None:
+                psi1[j1] = j2
+                if not _rooted_forest(psi1, roots1):
+                    continue
+            room[k] -= 1
+            if critical:
+                psi2[j2] = col1[t]
+                roots2.discard(j2)
+            if not critical or _rooted_forest(psi2, roots2):
+                leaves += walk(t + 1)
+            if critical:
+                del psi2[j2]
+                roots2.add(j2)
+            room[k] += 1
+        if j1 is not None:
+            psi1.pop(j1, None)
+            roots1.add(j1)
+        return leaves
+
+    return walk(0) * weight
 
 
 def gamma_count_brute(g: SubstructureGamma) -> int:
@@ -254,15 +317,16 @@ def gamma_count_brute_with_pair(
 
     ``v`` and ``u`` are (column, index-within-cell) addresses in rows 1 and 2.
     """
-    vcol, vidx = v
-    ucol, uidx = u
-    if not 0 <= vidx < g.w[0][vcol]:
-        raise ValueError("v is not a slot of row 1")
-    if not 0 <= uidx < g.w[1][ucol]:
-        raise ValueError("u is not a slot of row 2")
-    t = sum(g.w[0][:vcol]) + vidx
-    uflat = sum(g.w[1][:ucol]) + uidx
-    return _count_forest_matchings(g, forced=(t, uflat))
+    t = _flat_slot(g.w[0], v, "v", 1)
+    return _count_forest_matchings(g, forced=(t, _flat_slot(g.w[1], u, "u", 2)))
+
+
+def _flat_slot(w: tuple[int, ...], address: tuple[int, int], label: str, row: int) -> int:
+    """Flat index within its row of the slot at (column, index-within-cell)."""
+    col, idx = (_as_int(x, f"{label} coordinates") for x in address)
+    if not (0 <= col < len(w) and 0 <= idx < w[col]):
+        raise ValueError(f"{label} is not a slot of row {row}")
+    return sum(w[:col]) + idx
 
 
 @lru_cache(maxsize=None)

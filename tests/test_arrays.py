@@ -136,6 +136,15 @@ def test_arrows_need_a_vertical_array():
         PairedArray(w, r1, r2, pairing, ((0, 1),))
 
 
+@pytest.mark.parametrize("entry", [" 1 ", 0.9, 1.0, True])
+def test_pairing_entries_must_be_integers(entry):
+    # int() would strip the whitespace or truncate these to slot 1 (or 0)
+    with pytest.raises(ValueError, match="pairing entries"):
+        PairedArray(((1,), (1,)), {0}, {0}, (entry, 0))
+    with pytest.raises(ValueError, match="pairing entries"):
+        PairedArray(((1,), (1,)), {0}, {0}, (1, entry))
+
+
 def test_forest_function_all_marked_is_empty():
     arr = vertical_array([[1, 1], [1, 1]], {0, 1}, {0, 1}, [0, 1])
     assert forest_function(arr, 1) == {}

@@ -8,9 +8,14 @@ from mapenum.arrays import (
     PairedArray,
     SubstructureGamma,
     SubstructureOmega,
+    _rightmost_slots,
+    _rooted_forest,
+    _slot_columns,
+    arrow_cycle,
     check_balance,
     check_forest,
     check_nonempty,
+    open_columns,
 )
 from mapenum.brute import (
     _compositions,
@@ -269,26 +274,127 @@ def test_gamma_count_with_pair_partitions_total():
     assert split == total
 
 
+def _substructures(K, s):
+    """Every substructure with K columns and s vertices per row: every
+    occupancy pair, every pair of mark sets, every arrow map. For K = 3 the
+    occupancy pairs are taken up to relabelling the columns, which keeps the
+    count (see test_column_permutation_preserves_conditions_and_counts)."""
+    marks = [frozenset(c) for r in range(1, K + 1) for c in combinations(range(K), r)]
+    occupancies = list(_compositions(s, K))
+    for w in product(occupancies, repeat=2):
+        relabelled = (tuple(tuple(row[j] for j in p) for row in w) for p in permutations(range(K)))
+        if K == 3 and min(relabelled) != w:
+            continue
+        for r1, r2 in product(marks, repeat=2):
+            free = [j for j in range(K) if j not in r1]
+            for heads in product([None, *range(K)], repeat=len(free)):
+                arrows = tuple((t, h) for t, h in zip(free, heads) if h is not None)
+                yield SubstructureGamma(w, r1, r2, arrows)
+
+
+def _accepted_matchings(g):
+    """The slot matchings whose array passes check_forest (matching[t]: row-2 slot of row-1 slot t)."""
+    s = g.s
+    accepted = []
+    for matching in permutations(range(s)):
+        pairing = [0] * (2 * s)
+        for t, u in enumerate(matching):
+            pairing[t] = s + u
+            pairing[s + u] = t
+        if check_forest(PairedArray(g.w, g.r1, g.r2, tuple(pairing), g.arrows)):
+            accepted.append(matching)
+    return accepted
+
+
+def _slot_addresses(w):
+    return [(j, i) for j, count in enumerate(w) for i in range(count)]
+
+
 def test_gamma_count_matches_checker_based_enumeration():
-    """The matcher must agree with building arrays and running the checkers."""
+    """The matcher must agree with building arrays and running the checkers,
+    unrestricted and with every slot pair (v, u) forced.
+
+    Exhaustive for K <= 2 and s <= 3, and for K = 3 and s <= 2 up to
+    relabelling the columns; three hand-picked cases stand in for K = 3,
+    s = 3, one with a row-2 group of three interchangeable slots.
+    """
     cases = [
-        SubstructureGamma.of([[1, 1], [1, 1]], {1}, {0}, {}),
-        SubstructureGamma.of([[2, 1], [1, 2]], {0}, {1}, {}),
         SubstructureGamma.of([[1, 1, 1], [2, 1, 0]], {2}, {0, 1}, {}),
-        SubstructureGamma.of([[0, 2], [1, 1]], {1}, {1}, {0: 1}),
+        SubstructureGamma.of([[1, 1, 1], [0, 3, 0]], {2}, {1}, {0: 1}),
+        SubstructureGamma.of([[0, 2, 1], [1, 0, 2]], {0}, {2}, {1: 2}),
     ]
+    for K, s in product((1, 2, 3), (1, 2, 3)):
+        if K < 3 or s < 3:
+            cases += _substructures(K, s)
+    cyclic = into_empty_open_cell = 0
     for g in cases:
-        s = g.s
-        direct = 0
-        for matching in permutations(range(s)):
-            pairing = [0] * (2 * s)
-            for t, u in enumerate(matching):
-                pairing[t] = s + u
-                pairing[s + u] = t
-            arr = PairedArray(g.w, g.r1, g.r2, tuple(pairing), g.arrows)
-            if check_forest(arr):
-                direct += 1
-        assert gamma_count_brute(g) == direct
+        accepted = _accepted_matchings(g)
+        assert gamma_count_brute(g) == len(accepted)
+        for t, v in enumerate(_slot_addresses(g.w[0])):
+            for u, x in enumerate(_slot_addresses(g.w[1])):
+                forced = sum(matching[t] == u for matching in accepted)
+                assert gamma_count_brute_with_pair(g, v, x) == forced
+        cyclic += bool(arrow_cycle(g.phi))
+        open1 = open_columns(g, 1)
+        into_empty_open_cell += any(h in open1 and not g.w[0][h] for h in g.phi.values())
+    assert len(cases) == 3 + 3 + 609 + 854 + 3416  # hand-picked, K = 1, 2, 3 (s = 1, 2)
+    assert cyclic and into_empty_open_cell
+
+
+@pytest.mark.parametrize(
+    "v, u",
+    [((-1, 0), (0, 0)), ((2, 0), (0, 0)), ((0, 0), (-1, 0)), ((0, 0), (2, 0))],
+    ids=["v-negative", "v-past-K", "u-negative", "u-past-K"],
+)
+def test_gamma_count_with_pair_rejects_slots_outside_the_rows(v, u):
+    # a negative column would otherwise wrap around to column K - 1
+    g = SubstructureGamma.of([[1, 1], [1, 1]], {0}, {0}, {})
+    with pytest.raises(ValueError, match="not a slot"):
+        gamma_count_brute_with_pair(g, v, u)
+
+
+def _permutation_walk(g, forced=None):
+    """The s!-permutation matching count that the grouped walk replaced."""
+    (w1, w2), r1, r2, phi = g.w, g.r1, g.r2, g.phi
+    col1 = _slot_columns(w1)
+    col2 = _slot_columns(w2)
+    last1, last2 = _rightmost_slots(w1), _rightmost_slots(w2)
+    rm1 = [(j, last1[j]) for j in open_columns(g, 1) if w1[j]]
+    rm2 = [(j, last2[j]) for j in open_columns(g, 2) if w2[j]]
+    total = 0
+    inv = [0] * g.s
+    for perm in permutations(range(g.s)):
+        if forced is not None and perm[forced[0]] != forced[1]:
+            continue
+        psi1 = dict(phi)
+        for j, t in rm1:
+            psi1[j] = col2[perm[t]]
+        for t, u in enumerate(perm):
+            inv[u] = t
+        psi2 = {j: col1[inv[u]] for j, u in rm2}
+        if _rooted_forest(psi1, r1) and _rooted_forest(psi2, r2):
+            total += 1
+    return total
+
+
+def test_grouped_walk_matches_the_permutation_walk_on_sweep_instances(monkeypatch):
+    # the seed-0 instances of the substructure and lemma sweeps reach s = 7
+    from mapenum import brute, verify
+
+    grouped = brute._count_forest_matchings
+    seen = []
+
+    def both(g, forced=None):
+        count = grouped(g, forced)
+        seen.append((g.s, count, _permutation_walk(g, forced)))
+        return count
+
+    monkeypatch.setattr(brute, "_count_forest_matchings", both)
+    verify.sweep_gamma(40, 0)
+    verify.sweep_gamma_noarrows(40, 0)
+    verify.sweep_lemmas(20, 0)
+    assert len(seen) == 240 and max(s for s, _, _ in seen) == 7
+    assert [new for _, new, _ in seen] == [old for _, _, old in seen]
 
 
 # ----------------------------------------------------------------------

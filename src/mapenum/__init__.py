@@ -24,8 +24,7 @@ from .arrays import (
 )
 from .brute import (
     canonical_array_count_brute,
-    enumerate_pairings_one_row,
-    enumerate_pairings_two_row,
+    enumerate_pairings,
     gamma_count_brute,
     gamma_count_brute_with_pair,
     gs_counts_brute,
@@ -39,10 +38,10 @@ from .exact import (
     CycleCountVector,
     MonomialPoly,
     Pairing,
-    TwoRowGround,
     binomial,
     cycle_count,
     double_factorial,
+    gamma_of_rows,
     multinomial,
 )
 from .formulas import (

@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping, Sequence, Union
 
+from .exact import _as_int
+
 
 def _load_spec(text: str, kind: str, fields: Mapping[str, type], **defaults) -> dict:
     """Parse a JSON object whose ``fields`` hold the given types; ``defaults`` fill absent ones."""
@@ -27,13 +29,6 @@ def _load_spec(text: str, kind: str, fields: Mapping[str, type], **defaults) -> 
         if not isinstance(value, typ) or isinstance(value, bool):
             raise ValueError(f'{kind} spec needs a "{key}" field of type {typ.__name__}')
     return data
-
-
-def _as_int(x, label: str) -> int:
-    """``x`` itself if it is an integer: floats and bools are rejected, not truncated."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{label} must be integers, got {x!r}")
-    return x
 
 
 def _as_occupancy(w) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -8,21 +8,21 @@ scale (at most a few pairs per row) and serve as ground truth everywhere.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from math import factorial
+from operator import ge
 from typing import Iterator
 
 from .arrays import (
     SubstructureGamma,
     SubstructureOmega,
-    _as_int,
     _empty_columns,
     _rightmost_slots,
     _rooted_forest,
     _slot_columns,
     open_columns,
 )
-from .exact import CycleCountVector, Pairing
+from .exact import CycleCountVector, Pairing, _as_int, gamma_of_rows
 
 
 # ----------------------------------------------------------------------
@@ -54,67 +54,76 @@ def _pairing_partners(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(list(range(n)))
 
 
-def enumerate_pairings_one_row(q: int) -> Iterator[Pairing]:
-    """All (2q-1)!! pairings of a 2q-element row, in deterministic order."""
-    if q < 0:
-        raise ValueError("q must be non-negative")
-    for partner in _pairing_partners(2 * q):
-        yield Pairing(partner)
+def _row_ends(rows: tuple[int, ...]) -> list[int]:
+    """Per element of the ground set of ``rows``, the first element past its row.
+
+    So a pair a < b is mixed, its ends in different rows, when b >= ends[a].
+    """
+    return [stop for p, stop in zip(rows, accumulate(rows)) for _ in range(p)]
 
 
 @lru_cache(maxsize=None)
-def _class_partners(q1: int, q2: int, s: int) -> tuple[tuple[int, ...], ...]:
-    """Partner tuples of the two-row pairings with q_i within-row pairs and s
-    mixed pairs: the full stream of the ground set, filtered, in its order."""
-    p1 = 2 * q1 + s
-    return tuple(
-        p for p in _pairing_partners(p1 + 2 * q2 + s) if sum(y >= p1 for y in p[:p1]) == s
-    )
+def _pairing_classes(rows: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Partner tuples of every pairing of the ground set of ``rows``, in one
+    pass over the full stream: entry m holds those with m mixed pairs, in
+    stream order."""
+    ends = _row_ends(rows)
+    classes: list[list[tuple[int, ...]]] = [[] for _ in range(len(ends) // 2 + 1)]
+    for p in _pairing_partners(len(ends)):
+        classes[sum(map(ge, p, ends))].append(p)
+    return tuple(map(tuple, classes))
 
 
-def enumerate_pairings_two_row(q1: int, q2: int, s: int) -> Iterator[Pairing]:
-    """Pairings of the two-row ground set with q_i within-row pairs and s mixed,
-    in the order of the full stream."""
-    if q1 < 0 or q2 < 0 or s < 1:
-        raise ValueError("need q1, q2 >= 0 and s >= 1")
-    for partner in _class_partners(q1, q2, s):
+def enumerate_pairings(rows: tuple[int, ...], mixed: int) -> Iterator[Pairing]:
+    """Pairings of the ground set of ``rows`` (see ``gamma_of_rows``) with
+    ``mixed`` pairs whose ends lie in different rows, in the order of the
+    full stream."""
+    rows = tuple(rows)
+    gamma_of_rows(rows)  # raises unless every row size is a positive integer
+    if _as_int(mixed, "mixed") < 0:
+        raise ValueError("mixed must be non-negative")
+    classes = _pairing_classes(rows)
+    for partner in classes[mixed] if mixed < len(classes) else ():
         yield Pairing(partner)
 
 
 # ----------------------------------------------------------------------
-# Cycle-count tallies (one and two rows)
+# Cycle-count tallies
 # ----------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _pairing_tally(p1: int, p2: int) -> dict[tuple[int, int], int]:
-    """Tally all pairings mu of p1 + p2 elements by (mixed pairs, cycles of mu gamma^-1).
+def _pairing_tally(rows: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """Tally the pairings mu of the rows' ground set by (mixed pairs, cycles of mu gamma^-1).
 
-    gamma cycles each row (p2 = 0 for one row). The walk visits every pairing
+    gamma cycles each row (``gamma_of_rows``). The walk visits every pairing
     in the order of ``_pairing_partners`` and grows mu gamma^-1 as disjoint
     paths: the pair a-b adds the arcs gamma(a) -> b and gamma(b) -> a, and an
     arc that closes its own path adds a cycle. ``end[x]`` is the other end of
-    the path ending or starting at x, restored on backtrack.
+    the path ending or starting at x, restored on backtrack. Euler's formula
+    bounds the cycles by n/2 + len(rows), which sizes the key stride.
     """
-    n = p1 + p2
-    gamma = [(i + 1) % p1 for i in range(p1)] + [p1 + (i + 1) % p2 for i in range(p2)]
+    gamma = gamma_of_rows(rows)
+    n = len(gamma)
+    row_end = _row_ends(rows)
     end = list(range(n))
-    stride = n // 2 + 3  # key = mixed * stride + cycles, cycles <= n/2 + 2
+    stride = n // 2 + len(rows) + 1  # key = mixed * stride + cycles, cycles <= n/2 + len(rows)
     counts = [0] * (stride * (n // 2 + 1))
 
     def walk(free: list[int], key: int) -> None:
         a = free[0]
         ga = gamma[a]
+        past_a = row_end[a]
         if len(free) == 2:
             # last pair: two cycles if gamma(a)'s path starts at b, else one
             b = free[1]
             key += 2 if end[ga] == b else 1
-            counts[key + stride if a < p1 <= b else key] += 1
+            counts[key + stride if b >= past_a else key] += 1
             return
         for k in range(1, len(free)):
             b = free[k]
             gb = gamma[b]
-            c = key + stride if a < p1 <= b else key
+            c = key + stride if b >= past_a else key
             s1, e1 = end[ga], end[b]
             if s1 == b:
                 c += 1
@@ -138,7 +147,7 @@ def hz_counts_brute(q: int) -> CycleCountVector:
     """Tally pairings of [2q] by the cycle count of mu composed with gamma inverse."""
     if q < 1:
         raise ValueError("q must be positive")
-    tally = _pairing_tally(2 * q, 0)
+    tally = _pairing_tally((2 * q,))
     return CycleCountVector.from_tally(q, {L: c for (_, L), c in tally.items()})
 
 
@@ -146,7 +155,7 @@ def gs_counts_brute(q1: int, q2: int, s: int) -> CycleCountVector:
     """Tally two-row pairings with q_i within-row pairs and s mixed pairs."""
     if q1 < 0 or q2 < 0 or s < 1:
         raise ValueError("need q1, q2 >= 0 and s >= 1")
-    tally = _pairing_tally(2 * q1 + s, 2 * q2 + s)
+    tally = _pairing_tally((2 * q1 + s, 2 * q2 + s))
     return CycleCountVector.from_tally(
         q1 + q2 + s, {L: c for (mixed, L), c in tally.items() if mixed == s}
     )
@@ -180,7 +189,7 @@ def paired_surjection_count_brute(K: int, q1: int, q2: int, s: int) -> int:
     """
     if K < 1 or s < 1 or q1 < 0 or q2 < 0:
         raise ValueError("need K >= 1, s >= 1, q1, q2 >= 0")
-    tally = _pairing_tally(2 * q1 + s, 2 * q2 + s)
+    tally = _pairing_tally((2 * q1 + s, 2 * q2 + s))
     return sum(c * _surjections(L, K) for (mixed, L), c in tally.items() if mixed == s)
 
 
@@ -402,7 +411,7 @@ def canonical_array_count_brute(K: int, q1: int, q2: int, s: int) -> int:
     p1, p2 = 2 * q1 + s, 2 * q2 + s
     # pairings grouped by mixed slots (X, Y): X in row-1 ids, Y in row-2 ids
     groups: dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[int, ...]]] = {}
-    for partner in _class_partners(q1, q2, s):
+    for partner in _pairing_classes((p1, p2))[s]:
         mixed1 = tuple(x for x in range(p1) if partner[x] >= p1)
         mixed2 = tuple(sorted(partner[x] - p1 for x in mixed1))
         groups.setdefault((mixed1, mixed2), []).append(partner)

@@ -48,6 +48,13 @@ def multinomial(parts: Iterable[int]) -> int:
     return result
 
 
+def _as_int(x, label: str) -> int:
+    """``x`` itself if it is an integer: floats and bools are rejected, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{label} must be integers, got {x!r}")
+    return x
+
+
 def cycle_count(perm: Sequence[int]) -> int:
     """Number of disjoint cycles of a permutation given as an image table on 0..n-1."""
     n = len(perm)
@@ -66,8 +73,23 @@ def cycle_count(perm: Sequence[int]) -> int:
 
 
 # ----------------------------------------------------------------------
-# Pairings and the two-row ground set
+# Pairings and the ground set of a row tuple
 # ----------------------------------------------------------------------
+
+
+def gamma_of_rows(rows: Sequence[int]) -> tuple[int, ...]:
+    """Image table of the cycle permutation gamma of a row tuple.
+
+    The ground set lists the rows one after another, and gamma cycles each
+    row: element i goes to i + 1, and the last element of a row to its first.
+    """
+    gamma: list[int] = []
+    for p in rows:
+        if _as_int(p, "row sizes") < 1:
+            raise ValueError(f"row sizes must be positive, got {p}")
+        start = len(gamma)
+        gamma += [start + (i + 1) % p for i in range(p)]
+    return tuple(gamma)
 
 
 @dataclass(frozen=True)
@@ -84,7 +106,7 @@ class Pairing:
         if n % 2 != 0:
             raise ValueError("pairing needs an even ground size")
         for i, p in enumerate(self.partner):
-            if not 0 <= p < n:
+            if not 0 <= _as_int(p, "partner entries") < n:
                 raise ValueError(f"partner[{i}]={p} out of range")
             if p == i:
                 raise ValueError(f"fixed point at {i}")
@@ -118,60 +140,6 @@ class Pairing:
 
 
 @dataclass(frozen=True)
-class TwoRowGround:
-    """Ground set with p1 row-1 elements followed by p2 row-2 elements.
-
-    Element (row, pos) with 1-based pos is linearized to 0..p1+p2-1; the
-    canonical cycle permutation has one cycle per row.
-    """
-
-    p1: int
-    p2: int
-
-    def __post_init__(self) -> None:
-        if self.p1 < 1 or self.p2 < 1:
-            raise ValueError("row sizes must be positive")
-        if (self.p1 + self.p2) % 2 != 0:
-            raise ValueError("p1 + p2 must be even")
-
-    @property
-    def size(self) -> int:
-        return self.p1 + self.p2
-
-    def row(self, i: int) -> int:
-        return 1 if i < self.p1 else 2
-
-    def index(self, row: int, pos: int) -> int:
-        """Linear index of element (row, pos), pos counted from 1."""
-        if row == 1:
-            if not 1 <= pos <= self.p1:
-                raise ValueError(f"position {pos} outside row 1")
-            return pos - 1
-        if row == 2:
-            if not 1 <= pos <= self.p2:
-                raise ValueError(f"position {pos} outside row 2")
-            return self.p1 + pos - 1
-        raise ValueError(f"row must be 1 or 2, got {row}")
-
-    def gamma(self) -> tuple[int, ...]:
-        """Image table of the canonical cycle permutation (one cycle per row)."""
-        p1, p2 = self.p1, self.p2
-        return tuple((i + 1) % p1 for i in range(p1)) + tuple(
-            p1 + (i + 1) % p2 for i in range(p2)
-        )
-
-    def gamma_inv(self) -> tuple[int, ...]:
-        p1, p2 = self.p1, self.p2
-        return tuple((i - 1) % p1 for i in range(p1)) + tuple(
-            p1 + (i - 1) % p2 for i in range(p2)
-        )
-
-    def is_mixed(self, i: int, j: int) -> bool:
-        """True when elements i and j lie in different rows."""
-        return (i < self.p1) != (j < self.p1)
-
-
-@dataclass(frozen=True)
 class CycleCountVector:
     """Exact tallies a_L of pairings whose face permutation has L cycles.
 
@@ -201,6 +169,10 @@ class CycleCountVector:
 
     @classmethod
     def from_tally(cls, d: int, tally: dict[int, int]) -> "CycleCountVector":
+        """The vector of ``tally`` {L: a_L}; raises on a face count L outside 1..d+1."""
+        stray = sorted(L for L in tally if not 1 <= L <= d + 1)
+        if stray:
+            raise ValueError(f"face counts {stray} outside 1..{d + 1}")
         return cls(d, tuple(tally.get(L, 0) for L in range(1, d + 2)))
 
 

@@ -19,7 +19,7 @@ from .arrays import (
     is_irreducible,
     permute_columns,
 )
-from .exact import Pairing, TwoRowGround
+from .exact import Pairing, _as_int, gamma_of_rows
 
 
 @dataclass(frozen=True)
@@ -172,29 +172,31 @@ def column_merging(g: SubstructureGamma, X: int, Y: int) -> SubstructureGamma:
 
 
 def labelled_to_canonical(
-    ground: TwoRowGround, mu: Pairing, pi: Sequence[int]
+    rows: tuple[int, int], mu: Pairing, pi: Sequence[int]
 ) -> PairedArray:
     """Strip labels from a paired surjection, marking the cells holding label 1.
 
-    ``pi`` assigns a column to every linearized ground element and must be a
-    surjection onto 0..K-1 compatible with ``mu``: the partner and the cyclic
-    successor of every element must land in the same column. Cells list their
-    elements in label order; the result is a canonical array.
+    ``rows`` holds the two row sizes (p1, p2) of the ground set 0..p1+p2-1,
+    row 1 first. ``pi`` assigns a column to every ground element and must be
+    a surjection onto 0..K-1 compatible with ``mu``: the partner and the
+    cyclic successor of every element must land in the same column. Cells
+    list their elements in label order; the result is a canonical array.
     """
-    n = ground.size
+    p1, _ = rows  # a ValueError unless there are two rows
+    gamma = gamma_of_rows(rows)
+    n = len(gamma)
+    pi = [_as_int(j, "pi entries") for j in pi]
     if mu.ground_size != n or len(pi) != n:
         raise ValueError("pairing, projection, and ground set sizes must agree")
     K = max(pi) + 1
     if min(pi) < 0 or set(pi) != set(range(K)):
         raise ValueError("pi must be surjective onto 0..K-1")
-    gamma = ground.gamma()
     for v in range(n):
         if pi[mu[v]] != pi[gamma[v]]:
             raise ValueError(
                 f"not a paired surjection: element {v} sends its partner and "
                 f"successor to different columns"
             )
-    p1 = ground.p1
     cells1 = [[i for i in range(p1) if pi[i] == j] for j in range(K)]
     cells2 = [[i for i in range(p1, n) if pi[i] == j] for j in range(K)]
     w = (
@@ -212,7 +214,7 @@ def labelled_to_canonical(
         pairing[slot_of[i]] = slot_of[mu[i]]
     return PairedArray(
         w,
-        frozenset({pi[ground.index(1, 1)]}),
-        frozenset({pi[ground.index(2, 1)]}),
+        frozenset({pi[0]}),
+        frozenset({pi[p1]}),
         tuple(pairing),
     )

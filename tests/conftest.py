@@ -1,6 +1,6 @@
 import pytest
 
-from mapenum.exact import Pairing, TwoRowGround
+from mapenum.exact import Pairing
 
 
 @pytest.fixture
@@ -11,9 +11,9 @@ def two_row_example():
     mixed pairs; the projection sends label 1 of row 1 to column 2 and label
     1 of row 2 to column 3 (0-based columns).
     """
-    ground = TwoRowGround(10, 6)
+    rows = (10, 6)
     mu = Pairing.from_pairs(
         [(0, 13), (1, 2), (3, 12), (4, 6), (5, 10), (7, 14), (8, 9), (11, 15)]
     )
     pi = [2, 0, 1, 0, 1, 3, 3, 1, 2, 2, 3, 3, 1, 0, 2, 1]
-    return ground, mu, pi
+    return rows, mu, pi

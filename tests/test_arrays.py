@@ -63,8 +63,8 @@ def test_balance_variants_coincide_on_vertical_arrays():
 
 
 def test_balance_paired_array_uses_mixed_vertices(two_row_example):
-    ground, mu, pi = two_row_example
-    arr = labelled_to_canonical(ground, mu, pi)
+    rows, mu, pi = two_row_example
+    arr = labelled_to_canonical(rows, mu, pi)
     assert check_balance(arr)
     # one mixed vertex per row in every column of the example
     assert arr.mixed_counts(1) == [1, 1, 1, 1]
@@ -80,8 +80,8 @@ def test_full_versus_nonempty():
 
 
 def test_full_example_array(two_row_example):
-    ground, mu, pi = two_row_example
-    assert check_full(labelled_to_canonical(ground, mu, pi))
+    rows, mu, pi = two_row_example
+    assert check_full(labelled_to_canonical(rows, mu, pi))
 
 
 def test_full_implies_nonempty_on_random_substructures():
@@ -200,8 +200,8 @@ def test_forest_dead_end_fails():
 
 
 def test_check_forest_example(two_row_example):
-    ground, mu, pi = two_row_example
-    arr = labelled_to_canonical(ground, mu, pi)
+    rows, mu, pi = two_row_example
+    arr = labelled_to_canonical(rows, mu, pi)
     assert forest_function(arr, 1) == {0: 1, 1: 2, 3: 1}
     assert forest_function(arr, 2) == {0: 2, 1: 3, 2: 1}
     assert check_forest(arr)

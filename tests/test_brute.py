@@ -22,8 +22,7 @@ from mapenum.brute import (
     _pairing_tally,
     _surjections,
     canonical_array_count_brute,
-    enumerate_pairings_one_row,
-    enumerate_pairings_two_row,
+    enumerate_pairings,
     gamma_count_brute,
     gamma_count_brute_with_pair,
     gs_counts_brute,
@@ -32,7 +31,7 @@ from mapenum.brute import (
     paired_surjection_count_brute,
     vertical_array_count_brute,
 )
-from mapenum.exact import TwoRowGround, binomial, cycle_count, double_factorial
+from mapenum.exact import binomial, cycle_count, double_factorial, gamma_of_rows
 
 
 # ----------------------------------------------------------------------
@@ -41,20 +40,21 @@ from mapenum.exact import TwoRowGround, binomial, cycle_count, double_factorial
 
 
 def test_enumerate_one_row_counts():
-    assert len(list(enumerate_pairings_one_row(0))) == 1
-    assert len(list(enumerate_pairings_one_row(1))) == 1
-    assert len(list(enumerate_pairings_one_row(2))) == 3
-    assert len(list(enumerate_pairings_one_row(4))) == 105
+    assert len(list(enumerate_pairings((), 0))) == 1
+    assert len(list(enumerate_pairings((2,), 0))) == 1
+    assert len(list(enumerate_pairings((4,), 0))) == 3
+    assert len(list(enumerate_pairings((8,), 0))) == 105
+    assert len(list(enumerate_pairings((8,), 1))) == 0
 
 
 def test_enumerate_one_row_q1_is_the_single_pair():
-    (only,) = enumerate_pairings_one_row(1)
+    (only,) = enumerate_pairings((2,), 0)
     assert list(only.pairs()) == [(0, 1)]
 
 
 @pytest.mark.parametrize("q", range(1, 7))
 def test_enumerator_cardinality_matches_double_factorial(q):
-    assert sum(1 for _ in enumerate_pairings_one_row(q)) == double_factorial(2 * q - 1)
+    assert sum(1 for _ in enumerate_pairings((2 * q,), 0)) == double_factorial(2 * q - 1)
 
 
 def test_enumerator_cardinality_and_totals_q8():
@@ -64,8 +64,8 @@ def test_enumerator_cardinality_and_totals_q8():
 
 
 def test_enumeration_is_deterministic():
-    first = [p.partner for p in enumerate_pairings_one_row(4)]
-    second = [p.partner for p in enumerate_pairings_one_row(4)]
+    first = [p.partner for p in enumerate_pairings((8,), 0)]
+    second = [p.partner for p in enumerate_pairings((8,), 0)]
     assert first == second
     assert len(set(first)) == len(first)
 
@@ -80,7 +80,15 @@ def test_two_row_enumeration_class_size():
             * double_factorial(2 * q1 - 1)
             * double_factorial(2 * q2 - 1)
         )
-        assert sum(1 for _ in enumerate_pairings_two_row(q1, q2, s)) == expected
+        assert sum(1 for _ in enumerate_pairings((p1, p2), s)) == expected
+
+
+def test_enumerate_pairings_rejects_bad_rows():
+    for rows, mixed in [((0, 2), 0), ((3, -1), 1), ((2.0,), 0), ((2,), -1), ((2,), 0.0)]:
+        with pytest.raises(ValueError):
+            next(enumerate_pairings(rows, mixed))
+    with pytest.raises(ValueError, match="even"):
+        next(enumerate_pairings((2, 1), 1))
 
 
 # ----------------------------------------------------------------------
@@ -88,23 +96,39 @@ def test_two_row_enumeration_class_size():
 # ----------------------------------------------------------------------
 
 
-def _naive_tally(pairings, gamma_inv, p1):
-    """(mixed pairs, cycles of mu gamma^-1) per pairing, straight from the definition."""
-    tally = {}
-    for mu in pairings:
-        mixed = sum(1 for i, j in mu.pairs() if (i < p1) != (j < p1))
-        cycles = cycle_count([mu[gamma_inv[i]] for i in range(len(gamma_inv))])
-        tally[mixed, cycles] = tally.get((mixed, cycles), 0) + 1
-    return tally
+def _inverse(perm):
+    inv = [0] * len(perm)
+    for i, image in enumerate(perm):
+        inv[image] = i
+    return inv
+
+
+def _assert_walk_matches_definition(rows):
+    """The walk's tally against each class of ``enumerate_pairings``, with the
+    cycles of mu gamma^-1 counted by ``cycle_count``."""
+    n = sum(rows)
+    gamma_inv = _inverse(gamma_of_rows(rows))
+    naive = {}
+    for mixed in range(n // 2 + 1):
+        for mu in enumerate_pairings(rows, mixed):
+            key = (mixed, cycle_count([mu[gamma_inv[i]] for i in range(n)]))
+            naive[key] = naive.get(key, 0) + 1
+    tally = _pairing_tally(rows)
+    assert tally == naive
+    assert sum(tally.values()) == double_factorial(n - 1)
+
+
+def _row_tuples(max_rows, max_total):
+    """Tuples of 1..max_rows positive rows with an even total <= max_total."""
+    for k in range(1, max_rows + 1):
+        for rows in product(range(1, max_total + 1), repeat=k):
+            if sum(rows) <= max_total and sum(rows) % 2 == 0:
+                yield rows
 
 
 @pytest.mark.parametrize("q", range(1, 6))
 def test_pairing_walk_matches_definition_one_row(q):
-    n = 2 * q
-    gamma_inv = [(i - 1) % n for i in range(n)]
-    tally = _pairing_tally(n, 0)
-    assert tally == _naive_tally(enumerate_pairings_one_row(q), gamma_inv, n)
-    assert sum(tally.values()) == double_factorial(n - 1)
+    _assert_walk_matches_definition((2 * q,))
 
 
 @pytest.mark.parametrize(
@@ -112,23 +136,18 @@ def test_pairing_walk_matches_definition_one_row(q):
     [(p1, n - p1) for n in range(2, 11, 2) for p1 in range(1, n)],
 )
 def test_pairing_walk_matches_definition_two_rows(p1, p2):
-    tally = _pairing_tally(p1, p2)
-    gamma_inv = TwoRowGround(p1, p2).gamma_inv()
-    naive = {}
-    if p1 % 2 == 0 and p2 % 2 == 0:  # the class without mixed pairs
-        within = (mu for mu in enumerate_pairings_one_row((p1 + p2) // 2)
-                  if all((i < p1) == (j < p1) for i, j in mu.pairs()))
-        naive.update(_naive_tally(within, gamma_inv, p1))
-    for s in range(2 - p1 % 2, min(p1, p2) + 1, 2):
-        q1, q2 = (p1 - s) // 2, (p2 - s) // 2
-        naive.update(_naive_tally(enumerate_pairings_two_row(q1, q2, s), gamma_inv, p1))
-        class_total = sum(c for (mixed, _), c in tally.items() if mixed == s)
-        assert class_total == (
-            binomial(p1, s) * binomial(p2, s) * factorial(s)
-            * double_factorial(2 * q1 - 1) * double_factorial(2 * q2 - 1)
-        )
-    assert tally == naive
-    assert sum(tally.values()) == double_factorial(p1 + p2 - 1)
+    _assert_walk_matches_definition((p1, p2))
+
+
+def test_pairing_walk_matches_definition_more_rows():
+    # three and four rows: the cycle count reaches n/2 + len(rows), past the
+    # key stride that two rows need
+    tuples = list(_row_tuples(4, 10))
+    more = [rows for rows in tuples if len(rows) > 2]
+    assert (len(tuples), len(more)) == (230, 200)  # the other 30 are checked above
+    for rows in more:
+        _assert_walk_matches_definition(rows)
+    assert _pairing_tally((2, 2, 2))[0, 6] == 1
 
 
 def test_classes_of_one_ground_set_share_one_walk():
@@ -193,11 +212,9 @@ def test_paired_surjection_matches_naive_enumeration():
     for K, q1, q2, s in [(1, 0, 0, 1), (2, 0, 0, 2), (2, 1, 0, 1), (3, 0, 1, 1)]:
         p1, p2 = 2 * q1 + s, 2 * q2 + s
         n = p1 + p2
-        from mapenum.exact import TwoRowGround
-
-        gamma = TwoRowGround(p1, p2).gamma()
+        gamma = gamma_of_rows((p1, p2))
         naive = 0
-        for mu in enumerate_pairings_two_row(q1, q2, s):
+        for mu in enumerate_pairings((p1, p2), s):
             for pi in product(range(K), repeat=n):
                 if len(set(pi)) != K:
                     continue
@@ -235,10 +252,11 @@ def test_surjection_blocks_are_the_cycles_of_mu_gamma_inverse():
         for s in range(1, d + 1):
             for q1 in range(d - s + 1):
                 q2 = d - s - q1
-                ground = TwoRowGround(2 * q1 + s, 2 * q2 + s)
-                gamma, gamma_inv = ground.gamma(), ground.gamma_inv()
-                for mu in enumerate_pairings_two_row(q1, q2, s):
-                    cycles = cycle_count([mu[gamma_inv[x]] for x in range(ground.size)])
+                rows = (2 * q1 + s, 2 * q2 + s)
+                gamma = gamma_of_rows(rows)
+                gamma_inv = _inverse(gamma)
+                for mu in enumerate_pairings(rows, s):
+                    cycles = cycle_count([mu[gamma_inv[x]] for x in range(sum(rows))])
                     assert _union_find_blocks(mu.partner, gamma) == cycles
 
 

@@ -8,10 +8,10 @@ from mapenum.exact import (
     CycleCountVector,
     MonomialPoly,
     Pairing,
-    TwoRowGround,
     binomial,
     cycle_count,
     double_factorial,
+    gamma_of_rows,
     multinomial,
 )
 
@@ -79,27 +79,37 @@ def test_pairing_validation():
         Pairing((1, 0, 2, 3))
     with pytest.raises(ValueError):
         Pairing((1, 0, 3))  # odd size
+    for bad in [(True, False), (1.0, 0.0), ("1", "0"), (1, 0, 3, 2.0)]:
+        with pytest.raises(ValueError, match="integers"):
+            Pairing(bad)
+    with pytest.raises(ValueError, match="integers"):
+        Pairing.from_pairs([(True, False)])
 
 
-def test_two_row_ground():
-    g = TwoRowGround(3, 1)
-    assert g.size == 4
-    assert g.index(1, 1) == 0
-    assert g.index(2, 1) == 3
-    assert g.row(2) == 1 and g.row(3) == 2
-    assert g.gamma() == (1, 2, 0, 3)
-    assert g.gamma_inv() == (2, 0, 1, 3)
-    assert g.is_mixed(0, 3) and not g.is_mixed(0, 2)
-    with pytest.raises(ValueError):
-        TwoRowGround(2, 1)  # odd total
-    with pytest.raises(ValueError):
-        TwoRowGround(0, 2)
+def _inverse(perm):
+    inv = [0] * len(perm)
+    for i, image in enumerate(perm):
+        inv[image] = i
+    return tuple(inv)
+
+
+def test_gamma_of_rows():
+    gamma = gamma_of_rows((3, 1))
+    assert gamma == (1, 2, 0, 3)
+    assert _inverse(gamma) == (2, 0, 1, 3)
+    assert gamma_of_rows((2, 1, 3)) == (1, 0, 2, 4, 5, 3)
+    assert gamma_of_rows((4,)) == (1, 2, 3, 0)
+    assert gamma_of_rows(()) == ()
+    for bad in [(0, 2), (2, -1), (2.0, 2), (True, 1)]:
+        with pytest.raises(ValueError):
+            gamma_of_rows(bad)
 
 
 def test_gamma_inverse_really_inverts():
-    g = TwoRowGround(5, 3)
-    gamma, inv = g.gamma(), g.gamma_inv()
-    assert [gamma[inv[i]] for i in range(g.size)] == list(range(g.size))
+    gamma = gamma_of_rows((5, 3))
+    inv = _inverse(gamma)
+    assert [gamma[inv[i]] for i in range(len(gamma))] == list(range(len(gamma)))
+    assert cycle_count(gamma) == 2
 
 
 def test_cycle_count_vector():
@@ -108,6 +118,9 @@ def test_cycle_count_vector():
     assert v.total() == 3
     assert v.to_poly().coeffs == {1: Fraction(1), 3: Fraction(2)}
     assert CycleCountVector.from_tally(2, {3: 2, 1: 1}) == v
+    for stray in [{0: 5, 1: 1, 9: 7}, {4: 1}, {0: 1}]:
+        with pytest.raises(ValueError, match="outside 1..3"):
+            CycleCountVector.from_tally(2, stray)
     with pytest.raises(ValueError):
         CycleCountVector(2, (1, 0))
     with pytest.raises(ValueError):

@@ -72,23 +72,23 @@ def test_oracles_do_not_import_closed_forms():
     assert {"brute", "arrays", "exact"} <= seen
 
 
-def _load_genus_tables():
-    path = ROOT / "scripts" / "genus_tables.py"
-    spec = importlib.util.spec_from_file_location("genus_tables", path)
+def _load_script(relative):
+    path = ROOT / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_genus_tables_certify_passes(monkeypatch, capsys):
-    script = _load_genus_tables()
+    script = _load_script("scripts/genus_tables.py")
     monkeypatch.setattr("sys.argv", ARGV)
     assert script.main() == 0
     assert capsys.readouterr().out.endswith("all rows certified against enumeration\n")
 
 
 def test_genus_tables_certify_fails_on_a_wrong_row(monkeypatch, capsys):
-    script = _load_genus_tables()
+    script = _load_script("scripts/genus_tables.py")
     real = script.hz_counts_brute
 
     def wrong(q):
@@ -101,6 +101,23 @@ def test_genus_tables_certify_fails_on_a_wrong_row(monkeypatch, capsys):
     assert script.main() == 1
     err = capsys.readouterr().err
     assert err.startswith("mismatch at q=1: ") and err.count("\n") == 1
+
+
+# Names in bench/tracer.py's LAYERS that no longer exist in mapenum; the
+# tracer skips and reports them. Dropping one is a change to the benchmark.
+DEAD_TRACER_NAMES = ["exact.binomial_to_monomial"]
+
+
+def test_tracer_layers_name_existing_functions():
+    # a renamed or merged function would silently drop out of the layer trace
+    tracer = _load_script("bench/tracer.py")
+    missing = [
+        f"{layer}.{dotted}"
+        for layer, names in tracer.LAYERS.items()
+        for dotted in names
+        if tracer._resolve(importlib.import_module(f"mapenum.{layer}"), dotted) is None
+    ]
+    assert missing == DEAD_TRACER_NAMES
 
 
 # SHA-256 of the substructures drawn at seed 0 by sweep_gamma(40),

@@ -13,11 +13,11 @@ from mapenum.arrays import (
 )
 from mapenum.brute import (
     canonical_array_count_brute,
-    enumerate_pairings_two_row,
+    enumerate_pairings,
     gamma_count_brute,
     gamma_count_brute_with_pair,
 )
-from mapenum.exact import TwoRowGround
+from mapenum.exact import gamma_of_rows
 from mapenum.transforms import (
     CycleDetected,
     arrow_simplify_retarget,
@@ -240,8 +240,8 @@ def test_column_merging_redirects_arrows():
 
 
 def test_labelled_to_canonical_worked_example(two_row_example):
-    ground, mu, pi = two_row_example
-    arr = labelled_to_canonical(ground, mu, pi)
+    rows, mu, pi = two_row_example
+    arr = labelled_to_canonical(rows, mu, pi)
     assert arr.w[0] == (2, 3, 3, 2)
     assert arr.w[1] == (1, 2, 1, 2)
     assert arr.r1 == frozenset({2})
@@ -250,30 +250,37 @@ def test_labelled_to_canonical_worked_example(two_row_example):
 
 
 def test_labelled_to_canonical_single_column():
-    ground = TwoRowGround(1, 1)
-    mu = next(enumerate_pairings_two_row(0, 0, 1))
-    arr = labelled_to_canonical(ground, mu, [0, 0])
+    mu = next(enumerate_pairings((1, 1), 1))
+    arr = labelled_to_canonical((1, 1), mu, [0, 0])
     assert arr.w == ((1,), (1,))
     assert arr.r1 == arr.r2 == frozenset({0})
     assert arr.s == 1
 
 
 def test_labelled_to_canonical_rejects_broken_projection(two_row_example):
-    ground, mu, pi = two_row_example
+    rows, mu, pi = two_row_example
     bad = list(pi)
     bad[0] = 1  # breaks the partner/successor constraint
     with pytest.raises(ValueError, match="paired surjection"):
-        labelled_to_canonical(ground, mu, bad)
+        labelled_to_canonical(rows, mu, bad)
     with pytest.raises(ValueError):
-        labelled_to_canonical(ground, mu, [5] + list(pi)[1:])  # not surjective
+        labelled_to_canonical(rows, mu, [5] + list(pi)[1:])  # not surjective
+    for entries in ([float(j) for j in pi], [str(j) for j in pi], [True] + list(pi)[1:]):
+        with pytest.raises(ValueError, match="integers"):
+            labelled_to_canonical(rows, mu, entries)
+    for wrong in [(0, 16), (16, 0), (-2, 18), (10, 8), (10, 6, 0), (16,)]:
+        with pytest.raises(ValueError):
+            labelled_to_canonical(wrong, mu, pi)  # an empty row or a size mismatch
+    with pytest.raises(ValueError):
+        labelled_to_canonical((1, 1), mu, [0, 0])  # pairing of another ground set
 
 
 def _paired_surjections(q1, q2, s, K):
     """Yield (mu, pi) pairs by extending each pairing's forced blocks."""
     p1, p2 = 2 * q1 + s, 2 * q2 + s
     n = p1 + p2
-    gamma = TwoRowGround(p1, p2).gamma()
-    for mu in enumerate_pairings_two_row(q1, q2, s):
+    gamma = gamma_of_rows((p1, p2))
+    for mu in enumerate_pairings((p1, p2), s):
         parent = list(range(n))
 
         def find(x):
@@ -300,12 +307,12 @@ from mapenum.verify import gs_parameter_tuples
 @pytest.mark.parametrize("q1,q2,s", list(gs_parameter_tuples(3)))
 def test_labelled_to_canonical_is_a_bijection(q1, q2, s):
     d = q1 + q2 + s
-    ground = TwoRowGround(2 * q1 + s, 2 * q2 + s)
+    rows = (2 * q1 + s, 2 * q2 + s)
     for K in range(1, 2 * d + 1):
         images = set()
         count = 0
         for mu, pi in _paired_surjections(q1, q2, s, K):
-            arr = labelled_to_canonical(ground, mu, pi)
+            arr = labelled_to_canonical(rows, mu, pi)
             assert check_nonempty(arr) and check_balance(arr) and check_forest(arr)
             assert arr.r1 == frozenset({pi[0]}) and len(arr.r1) == 1 and len(arr.r2) == 1
             images.add(arr)

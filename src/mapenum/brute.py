@@ -205,6 +205,10 @@ def _rooting_marks(psi: tuple[int, ...], R: int) -> tuple[int, ...]:
     psi[j] is the column of the partner of cell j's rightmost slot (-1 if
     the cell is empty). Marking a column takes it out of the forest map,
     which changes nothing here: the walk stops at a root before following it.
+    ``omega_count_brute`` pairs the sets of the two rows and keeps those
+    whose union covers every column without vertices (non-empty);
+    ``canonical_array_count_brute`` only ever has such columns covered, so
+    it multiplies the two rows' numbers of sets with R = 1.
     """
     full = {j: v for j, v in enumerate(psi) if v >= 0}
     return tuple(
@@ -212,15 +216,6 @@ def _rooting_marks(psi: tuple[int, ...], R: int) -> tuple[int, ...]:
         for marks in combinations(range(len(psi)), R)
         if _rooted_forest(full, set(marks))
     )
-
-
-def _mark_pairs(
-    psi1: tuple[int, ...], R1: int, psi2: tuple[int, ...], R2: int, missing: int
-) -> int:
-    """Pairs (M1, M2) of R1- and R2-sets of marks rooting the forest maps psi1
-    and psi2 whose union covers every column of the bitmask ``missing``."""
-    good2 = _rooting_marks(psi2, R2)
-    return sum(1 for m1 in _rooting_marks(psi1, R1) for m2 in good2 if not missing & ~(m1 | m2))
 
 
 def _count_forest_matchings(g: SubstructureGamma, forced: tuple[int, int] | None = None) -> int:
@@ -343,8 +338,9 @@ def omega_count_brute(o: SubstructureOmega) -> int:
     """Proper vertical arrays with the given balanced occupancy.
 
     Walks the s! slot matchings once. For each, counts the pairs of an
-    R1-set and an R2-set of marks that root both forest maps and cover every
-    column without vertices (non-empty); balance holds by construction.
+    R1-set and an R2-set of marks (``_rooting_marks``) that root both forest
+    maps and cover every column without vertices (non-empty); balance holds
+    by construction.
     """
     col = _slot_columns(o.w)
     rm = _rightmost_slots(o.w)
@@ -356,7 +352,10 @@ def omega_count_brute(o: SubstructureOmega) -> int:
             inv[u] = t
         psi1 = tuple(col[perm[t]] if t >= 0 else -1 for t in rm)
         psi2 = tuple(col[inv[u]] if u >= 0 else -1 for u in rm)
-        total += _mark_pairs(psi1, o.r1, psi2, o.r2, missing)
+        good2 = _rooting_marks(psi2, o.r2)
+        total += sum(
+            1 for m1 in _rooting_marks(psi1, o.r1) for m2 in good2 if not missing & ~(m1 | m2)
+        )
     return total
 
 
@@ -395,16 +394,24 @@ def canonical_array_count_brute(K: int, q1: int, q2: int, s: int) -> int:
     """Proper paired arrays with a single marked column per row.
 
     Runs over occupancy pairs (w1, w2) and, for each, over the pairings that
-    balance it. For each such candidate the mark-set step shared with
-    ``omega_count_brute`` counts the mark columns (j1, j2) that root both
-    forests and cover every column without vertices (non-empty): it is
-    ``_mark_pairs`` with R1 = R2 = 1. Whether a pairing balances (w1, w2)
-    depends only on the set X of row-1 slots it pairs across and the set Y
-    of row-2 slots they land on: it does when X has as many slots in each
-    column under w1 as Y has under w2. So the pairings are grouped by
-    (X, Y), each row's sets are indexed by that column profile, and only
-    the groups of matching profiles are visited. Occupancy pairs leaving
-    more than two columns without vertices are skipped.
+    balance it. Whether a pairing balances (w1, w2) depends only on the set
+    X of row-1 slots it pairs across and the set Y of row-2 slots they land
+    on: it does when X has as many slots in each column under w1 as Y has
+    under w2. So the pairings are grouped by (X, Y), each row's sets are
+    indexed by that column profile, and only the groups of matching profiles
+    are visited.
+
+    Occupancy pairs that leave a column j with no vertex in either row are
+    skipped, because no array on them passes all the checks. Canonical
+    arrays have no arrows, so the non-empty condition needs j marked in row
+    1 or row 2. But no forest edge enters j: every forest map value is the
+    column of some slot, and j holds none. The row whose single mark is j
+    has a vertex in some column (p_i >= s >= 1), and the walk from there
+    never reaches j, so it ends in a cycle or at an empty cell of that row:
+    j roots neither row. With no vertex-free column left the non-empty
+    condition always holds, so each balanced candidate adds (single marks
+    rooting psi1) * (single marks rooting psi2), from the mark-set step
+    ``_rooting_marks`` shared with ``omega_count_brute``.
     """
     if K < 1 or s < 1 or q1 < 0 or q2 < 0:
         raise ValueError("need K >= 1, s >= 1, q1, q2 >= 0")
@@ -430,22 +437,23 @@ def canonical_array_count_brute(K: int, q1: int, q2: int, s: int) -> int:
             index.setdefault(tuple(profile), []).append(slots)
         return index
 
-    # per w2: columns, rightmost slots (global ids p1..p1+p2-1), empty columns, profiles
+    # per w2: empty columns, columns, rightmost slots (global ids p1..p1+p2-1), profiles
     layouts2 = []
     for w2 in _compositions(p2, K):
         col2 = _slot_columns(w2)
         index2 = by_profile(sets2, col2)
-        layouts2.append((col2, _rightmost_slots(w2, p1), _empty_columns(w2), index2))
+        layouts2.append((_empty_columns(w2), col2, _rightmost_slots(w2, p1), index2))
     total = 0
     for w1 in _compositions(p1, K):
+        empty1 = _empty_columns(w1)
+        # the w2 with a vertex in every column w1 leaves empty
+        covering = [layout for layout in layouts2 if not empty1 & layout[0]]
+        if not covering:
+            continue
         col1 = _slot_columns(w1)
         rm1 = _rightmost_slots(w1)
-        empty1 = _empty_columns(w1)
         index1 = by_profile(sets1, col1)
-        for col2, rm2, empty2, index2 in layouts2:
-            missing = empty1 & empty2
-            if missing.bit_count() > 2:
-                continue  # two marks cannot cover the empty columns
+        for _, col2, rm2, index2 in covering:
             col = col1 + col2
             # balance: as many mixed slots per column in each row
             for profile in index1.keys() & index2.keys():
@@ -453,5 +461,5 @@ def canonical_array_count_brute(K: int, q1: int, q2: int, s: int) -> int:
                     for partner in groups[mixed1, mixed2]:
                         psi1 = tuple(col[partner[t]] if t >= 0 else -1 for t in rm1)
                         psi2 = tuple(col[partner[t]] if t >= 0 else -1 for t in rm2)
-                        total += _mark_pairs(psi1, 1, psi2, 1, missing)
+                        total += len(_rooting_marks(psi1, 1)) * len(_rooting_marks(psi2, 1))
     return total

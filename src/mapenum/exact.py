@@ -132,6 +132,7 @@ class Pairing:
         n = 2 * len(pairs)
         partner = [-1] * n
         for a, b in pairs:
+            a, b = _as_int(a, "pair entries"), _as_int(b, "pair entries")
             if not (0 <= a < n and 0 <= b < n) or partner[a] != -1 or partner[b] != -1:
                 raise ValueError(f"bad pair ({a}, {b})")
             partner[a] = b

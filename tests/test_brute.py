@@ -474,7 +474,9 @@ def test_canonical_matches_checker_based_enumeration():
     """Cross-check the pruned canonical counter against the dumbest version.
 
     The last three tuples have within-row pairs in both rows or s >= 2, so
-    several sets of mixed slots share one column profile.
+    several sets of mixed slots share one column profile. The naive count
+    also checks the lemma behind the counter's skip of occupancy pairs with
+    a vertex-free column: no array on such a pair passes every check.
     """
     uncovered = set()
     for K, q1, q2, s in [
@@ -485,7 +487,8 @@ def test_canonical_matches_checker_based_enumeration():
         count, seen = _naive_canonical(K, q1, q2, s)
         assert canonical_array_count_brute(K, q1, q2, s) == count
         uncovered |= seen
-    # the non-empty condition was decided with 0, 1 and 2 vertex-free columns
+    # balanced forest arrays with 0, 1 and 2 vertex-free columns were built,
+    # so check_nonempty rejected some of them
     assert {0, 1, 2} <= uncovered
 
 
@@ -501,8 +504,11 @@ def _naive_canonical(K, q1, q2, s):
                     for pairing in _slot_pairings(w1, w2, s):
                         arr = PairedArray((w1, w2), frozenset({j1}), frozenset({j2}), pairing)
                         if check_balance(arr) and check_forest(arr):
-                            uncovered.add(sum(1 for a, b in zip(w1, w2) if a == b == 0))
-                            count += check_nonempty(arr)
+                            free = sum(1 for a, b in zip(w1, w2) if a == b == 0)
+                            uncovered.add(free)
+                            proper = check_nonempty(arr)
+                            assert not (proper and free), (w1, w2, j1, j2, pairing)
+                            count += proper
     return count, uncovered
 
 
@@ -539,9 +545,12 @@ def _pairings_of(elements):
             yield [(first, other)] + sub
 
 
-def test_canonical_equals_surjections_at_d5():
-    """One d = 5 tuple with three mixed pairs, beyond the d <= 4 sweeps."""
-    assert canonical_array_count_brute(5, 1, 1, 3) == paired_surjection_count_brute(5, 1, 1, 3)
+@pytest.mark.parametrize("K, q1, q2, s", [(5, 1, 1, 3), (6, 2, 2, 1), (6, 1, 1, 3)])
+def test_canonical_equals_surjections_at_d5(K, q1, q2, s):
+    """d = 5 tuples beyond the d <= 4 sweeps: one with three mixed pairs,
+    and two with K = d + 1 that count 0, where each row has fewer slots
+    than columns."""
+    assert canonical_array_count_brute(K, q1, q2, s) == paired_surjection_count_brute(K, q1, q2, s)
 
 
 def test_canonical_rejects_bad_arguments():

@@ -82,8 +82,14 @@ def test_pairing_validation():
     for bad in [(True, False), (1.0, 0.0), ("1", "0"), (1, 0, 3, 2.0)]:
         with pytest.raises(ValueError, match="integers"):
             Pairing(bad)
+
+
+@pytest.mark.parametrize(
+    "pairs", [[(True, False)], [(0.0, 1)], [(0, 1.5)], [(0, True)], [(0, 1), (2.0, 3)]]
+)
+def test_from_pairs_entries_must_be_integers(pairs):
     with pytest.raises(ValueError, match="integers"):
-        Pairing.from_pairs([(True, False)])
+        Pairing.from_pairs(pairs)
 
 
 def _inverse(perm):

@@ -84,7 +84,7 @@ def enumerate_pairings(rows: tuple[int, ...], mixed: int) -> Iterator[Pairing]:
         raise ValueError("mixed must be non-negative")
     classes = _pairing_classes(rows)
     for partner in classes[mixed] if mixed < len(classes) else ():
-        yield Pairing(partner)
+        yield Pairing._unchecked(partner)
 
 
 # ----------------------------------------------------------------------
@@ -96,51 +96,93 @@ def enumerate_pairings(rows: tuple[int, ...], mixed: int) -> Iterator[Pairing]:
 def _pairing_tally(rows: tuple[int, ...]) -> dict[tuple[int, int], int]:
     """Tally the pairings mu of the rows' ground set by (mixed pairs, cycles of mu gamma^-1).
 
-    gamma cycles each row (``gamma_of_rows``). The walk visits every pairing
-    in the order of ``_pairing_partners`` and grows mu gamma^-1 as disjoint
-    paths: the pair a-b adds the arcs gamma(a) -> b and gamma(b) -> a, and an
-    arc that closes its own path adds a cycle. ``end[x]`` is the other end of
-    the path ending or starting at x, restored on backtrack. Euler's formula
-    bounds the cycles by n/2 + len(rows), which sizes the key stride.
+    gamma cycles each row (``gamma_of_rows``). The walk pairs the smallest
+    free element a with each later free b in turn, as ``_pairing_partners``
+    does, and grows mu gamma^-1 as disjoint paths: the pair a-b places the
+    arcs gamma(a) -> b and gamma(b) -> a, and an arc that closes its own path
+    adds a cycle.
+
+    Midway, the arcs gamma(x) -> mu(x) placed so far form paths, and each
+    starts at a free element f (no arc enters it yet) and ends at gamma(f')
+    for a free f' (no arc leaves it yet); pi maps f to f'. At the start every
+    path is one element, so pi = gamma^-1. From then on the rest of the
+    tally depends only on the row of each free element and on pi: the pair
+    a-b is mixed when a and b lie in different rows, the path ending at
+    gamma(a) is the one starting at pi^-1(a), and it closes exactly when
+    pi(b) = a, so the cycles added and the next pi are read from pi alone.
+    Relabel the free elements 0..m-1 in their order; the rest of the walk is
+    then the same walk on the relabelled state, smallest first. So the state
+    is (the row sizes of the free elements, empty rows dropped, and the
+    relabelled pi), and two prefixes with equal states have equal
+    sub-tallies: each distinct state is walked once in this call and its
+    sub-tally reused. Every pairing is still counted exactly once.
+
+    A sub-tally is a flat tuple of (key, count) pairs with key = mixed *
+    stride + cycles; Euler's formula bounds the cycles by n/2 + len(rows),
+    which sizes the stride, and keys of a prefix and of its sub-tally add.
     """
     gamma = gamma_of_rows(rows)
     n = len(gamma)
-    row_end = _row_ends(rows)
-    end = list(range(n))
     stride = n // 2 + len(rows) + 1  # key = mixed * stride + cycles, cycles <= n/2 + len(rows)
-    counts = [0] * (stride * (n // 2 + 1))
+    pi = [0] * n
+    for x, gx in enumerate(gamma):
+        pi[gx] = x
+    # state -> sub-tally; no element left: the one empty completion
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {((), ()): (0, 1)}
+    top = _tally_state(tuple(rows), tuple(pi), stride, memo)
+    return {divmod(key, stride): c for key, c in sorted(zip(top[::2], top[1::2]))}
 
-    def walk(free: list[int], key: int) -> None:
-        a = free[0]
-        ga = gamma[a]
-        past_a = row_end[a]
-        if len(free) == 2:
-            # last pair: two cycles if gamma(a)'s path starts at b, else one
-            b = free[1]
-            key += 2 if end[ga] == b else 1
-            counts[key + stride if b >= past_a else key] += 1
-            return
-        for k in range(1, len(free)):
-            b = free[k]
-            gb = gamma[b]
-            c = key + stride if b >= past_a else key
-            s1, e1 = end[ga], end[b]
-            if s1 == b:
-                c += 1
-            else:
-                end[s1], end[e1] = e1, s1
-            s2, e2 = end[gb], end[a]
-            if s2 == a:
-                walk(free[1:k] + free[k + 1 :], c + 1)
-            else:
-                end[s2], end[e2] = e2, s2
-                walk(free[1:k] + free[k + 1 :], c)
-                end[s2], end[e2] = gb, a
-            if s1 != b:
-                end[s1], end[e1] = ga, b
 
-    walk(list(range(n)), 0)
-    return {divmod(key, stride): c for key, c in enumerate(counts) if c}
+def _tally_state(
+    sizes: tuple[int, ...],
+    pi: tuple[int, ...],
+    stride: int,
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]],
+) -> tuple[int, ...]:
+    """Sub-tally of one state of the ``_pairing_tally`` walk, memoized in ``memo``.
+
+    ``sizes`` are the row sizes of the free elements 0..m-1, in order, and
+    pi[f] is the free f' whose gamma(f') ends the path starting at f.
+    """
+    state = (sizes, pi)
+    if state in memo:
+        return memo[state]
+    m = len(pi)
+    acc: dict[int, int] = {}
+    pa = pi[0]
+    b = 0
+    for row, size in enumerate(sizes):
+        rest = list(sizes)
+        rest[0] -= 1
+        rest[row] -= 1
+        rest_sizes = tuple(filter(None, rest))
+        for _ in range(size - (row == 0)):
+            b += 1
+            pb = pi[b]
+            # cycles closed by the arcs gamma(a) -> b and gamma(b) -> a
+            if pb == 0:
+                closed = 1 + (pa == b)
+            else:
+                closed = int(pa == b or (pa == 0 and pb == b))
+            shift = closed + stride if row else closed
+            # a path that ended at gamma(a) now runs on through b to
+            # gamma(pi(b)), and through a again if pi(b) = b; likewise
+            # a path that ended at gamma(b)
+            rest_pi = []
+            for f in range(1, m):
+                if f != b:
+                    x = pi[f]
+                    if x == 0:
+                        x = pa if pb == b else pb
+                    elif x == b:
+                        x = pb if pa == 0 else pa
+                    rest_pi.append(x - 1 if x < b else x - 2)
+            sub = _tally_state(rest_sizes, tuple(rest_pi), stride, memo)
+            for key, count in zip(sub[::2], sub[1::2]):
+                key += shift
+                acc[key] = acc.get(key, 0) + count
+    memo[state] = flat = tuple(v for item in acc.items() for v in item)
+    return flat
 
 
 def hz_counts_brute(q: int) -> CycleCountVector:

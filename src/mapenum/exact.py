@@ -127,6 +127,15 @@ class Pairing:
                 yield (i, p)
 
     @classmethod
+    def _unchecked(cls, partner: tuple[int, ...]) -> "Pairing":
+        """A Pairing on a partner table already known to be a fixed-point-free
+        involution, built without running the checks of ``__post_init__``.
+        Only for tables this package generates itself (the pairing stream)."""
+        pairing = object.__new__(cls)
+        object.__setattr__(pairing, "partner", partner)
+        return pairing
+
+    @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Pairing":
         pairs = list(pairs)
         n = 2 * len(pairs)

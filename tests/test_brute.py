@@ -58,8 +58,9 @@ def test_enumerator_cardinality_matches_double_factorial(q):
 
 
 def test_enumerator_cardinality_and_totals_q8():
-    # the largest desk-scale cardinality check; the tally total doubles as
-    # the stream length
+    # the tally shares sub-walks, so its total counts the pairings without
+    # visiting each; test_enumerator_cardinality_matches_double_factorial
+    # checks the stream length itself
     assert hz_counts_brute(8).total() == double_factorial(15)
 
 
@@ -148,6 +149,31 @@ def test_pairing_walk_matches_definition_more_rows():
     for rows in more:
         _assert_walk_matches_definition(rows)
     assert _pairing_tally((2, 2, 2))[0, 6] == 1
+
+
+@pytest.mark.parametrize("rows", [(12,), (5, 7), (4, 4, 4), (3, 3, 3, 3)])
+def test_pairing_walk_matches_definition_twelve_elements(rows):
+    # on 12 elements more prefixes reach the same state than on totals <= 10
+    _assert_walk_matches_definition(rows)
+
+
+def test_pairing_walk_on_sixteen_elements():
+    p1, p2 = 5, 11
+    tally = _pairing_tally((p1, p2))
+    totals = {}
+    for (mixed, _), c in tally.items():
+        totals[mixed] = totals.get(mixed, 0) + c
+    assert totals == {
+        s: binomial(p1, s)
+        * binomial(p2, s)
+        * factorial(s)
+        * double_factorial(p1 - s - 1)
+        * double_factorial(p2 - s - 1)
+        for s in (1, 3, 5)
+    }
+    one_row = _pairing_tally((16,))
+    assert sum(one_row.values()) == double_factorial(15)
+    assert {(mixed, L % 2) for mixed, L in one_row} == {(0, 1)}  # parity of q + 1 = 9
 
 
 def test_classes_of_one_ground_set_share_one_walk():

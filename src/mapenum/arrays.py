@@ -269,6 +269,8 @@ class SubstructureOmega:
     w: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for count in (self.K, self.r1, self.r2):
+            _as_int(count, "K and the mark counts")
         try:
             w = tuple(_as_int(x, "occupancy entries") for x in self.w)
         except TypeError:

@@ -1,44 +1,26 @@
 """Oracle-equality sweeps: every closed form checked against enumeration.
 
 Each sweep returns a list of problem descriptions (empty means the sweep
-passed) so callers can report the first counterexample. Randomized sweeps
-take an explicit seed and are fully reproducible.
+passed) so callers can report the first counterexample. Every description
+has the shape ``<sweep> <parameters>: <left> != <right>``, naming both sides.
+Randomized sweeps take an explicit seed and are fully reproducible.
+
+Three loops serve the sweeps: ``_compare`` (two counts per parameter case),
+``_check_series`` (one genus series against its class) and the draw table
+of ``sweep_lemmas``. Oracles, formulas, checkers and transforms are looked
+up as module attributes when a sweep runs, never stored at import, so a
+tracer or a test that rebinds them sees every call.
 """
 
 from __future__ import annotations
 
 import random
 from math import factorial
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
-from . import brute
-from .arrays import (
-    SubstructureGamma,
-    SubstructureOmega,
-    check_balance,
-    check_full,
-    check_nonempty,
-    classify_columns,
-    critical_vertices,
-)
-from .exact import binomial, double_factorial
-from .formulas import (
-    canonical_from_vertical,
-    gamma_count_formula,
-    gamma_count_formula_noarrows,
-    gs_series,
-    gs_series_simplified,
-    hz_series,
-    omega_count_formula,
-    series_from_surjections,
-    vertical_count_formula,
-)
-from .transforms import (
-    arrow_simplify_retarget,
-    arrow_simplify_to_mark,
-    column_merging,
-    column_pointing,
-)
+from . import arrays, brute, formulas, transforms
+from .arrays import SubstructureGamma, SubstructureOmega
+from .exact import BinomialPoly, CycleCountVector, binomial, double_factorial
 
 
 def gs_parameter_tuples(max_d: int) -> Iterator[tuple[int, int, int]]:
@@ -47,6 +29,34 @@ def gs_parameter_tuples(max_d: int) -> Iterator[tuple[int, int, int]]:
         for s in range(1, d + 1):
             for q1 in range(d - s + 1):
                 yield (q1, d - s - q1, s)
+
+
+def _compare(sweep: str, cases: Iterable[dict], left: Callable, right: Callable) -> list[str]:
+    """Every case (arguments by name, in call order) on which the two counts differ."""
+    problems = []
+    for case in cases:
+        a, b = left(*case.values()), right(*case.values())
+        if a != b:
+            named = " ".join(f"{key}={value}" for key, value in case.items())
+            problems.append(f"{sweep} {named}: {a} != {b}")
+    return problems
+
+
+def _check_series(where: str, counts: CycleCountVector, class_size: int, vertices: int,
+                  d: int, series: BinomialPoly) -> list[str]:
+    """One class's face tallies (d pairs): class size, genus parity, closed form."""
+    problems = []
+    if counts.total() != class_size:
+        problems.append(f"{where}: enumerated {counts.total()}, expected {class_size}")
+    for L in range(1, d + 2):
+        # Euler: 2 - 2g = vertices - d + L, so vertices + d + L is even
+        if counts.a(L) and (vertices + d + L) % 2 != 0:
+            problems.append(f"{where}: a_{L} = {counts.a(L)} violates parity")
+    expected = counts.to_poly().integer_coeffs()
+    got = series.to_monomial().integer_coeffs()
+    if expected != got:
+        problems.append(f"{where}: formula {got} != brute {expected}")
+    return problems
 
 
 # ----------------------------------------------------------------------
@@ -58,17 +68,8 @@ def sweep_hz(max_q: int = 7) -> list[str]:
     """One-vertex series against enumeration, plus sum and parity invariants."""
     problems = []
     for q in range(1, max_q + 1):
-        counts = brute.hz_counts_brute(q)
-        if counts.total() != double_factorial(2 * q - 1):
-            problems.append(f"hz q={q}: enumerated {counts.total()} pairings, "
-                            f"expected {double_factorial(2 * q - 1)}")
-        for L in range(1, q + 2):
-            if counts.a(L) and (L - (q + 1)) % 2 != 0:
-                problems.append(f"hz q={q}: a_{L} = {counts.a(L)} violates parity")
-        expected = counts.to_poly().integer_coeffs()
-        got = hz_series(q).to_monomial().integer_coeffs()
-        if expected != got:
-            problems.append(f"hz q={q}: formula {got} != brute {expected}")
+        problems += _check_series(f"hz q={q}", brute.hz_counts_brute(q),
+                                  double_factorial(2 * q - 1), 1, q, formulas.hz_series(q))
     return problems
 
 
@@ -76,43 +77,23 @@ def sweep_gs(max_d: int = 6) -> list[str]:
     """Two-vertex series against enumeration, plus sum and parity invariants."""
     problems = []
     for q1, q2, s in gs_parameter_tuples(max_d):
-        d = q1 + q2 + s
-        p1, p2 = 2 * q1 + s, 2 * q2 + s
-        counts = brute.gs_counts_brute(q1, q2, s)
         class_size = (
-            binomial(p1, s)
-            * binomial(p2, s)
+            binomial(2 * q1 + s, s)
+            * binomial(2 * q2 + s, s)
             * factorial(s)
             * double_factorial(2 * q1 - 1)
             * double_factorial(2 * q2 - 1)
         )
-        if counts.total() != class_size:
-            problems.append(
-                f"gs {q1},{q2},{s}: enumerated {counts.total()}, expected {class_size}"
-            )
-        for L in range(1, d + 2):
-            if counts.a(L) and (L - d) % 2 != 0:
-                problems.append(f"gs {q1},{q2},{s}: a_{L} = {counts.a(L)} violates parity")
-        expected = counts.to_poly().integer_coeffs()
-        got = gs_series(q1, q2, s).to_monomial().integer_coeffs()
-        if expected != got:
-            problems.append(f"gs {q1},{q2},{s}: formula {got} != brute {expected}")
+        problems += _check_series(f"gs q1={q1} q2={q2} s={s}", brute.gs_counts_brute(q1, q2, s),
+                                  class_size, 2, q1 + q2 + s, formulas.gs_series(q1, q2, s))
     return problems
 
 
 def sweep_gs_simplified(max_q: int = 5, max_s: int = 6) -> list[str]:
     """The reduced two-sum series must match the triple-sum series exactly."""
-    problems = []
-    for q1 in range(max_q + 1):
-        for q2 in range(max_q + 1):
-            for s in range(1, max_s + 1):
-                full = gs_series(q1, q2, s)
-                reduced = gs_series_simplified(q1, q2, s)
-                if full != reduced:
-                    problems.append(
-                        f"simplified {q1},{q2},{s}: {reduced.coeffs} != {full.coeffs}"
-                    )
-    return problems
+    cases = ({"q1": q1, "q2": q2, "s": s} for q1 in range(max_q + 1)
+             for q2 in range(max_q + 1) for s in range(1, max_s + 1))
+    return _compare("simplified", cases, formulas.gs_series_simplified, formulas.gs_series)
 
 
 # ----------------------------------------------------------------------
@@ -120,17 +101,17 @@ def sweep_gs_simplified(max_q: int = 5, max_s: int = 6) -> list[str]:
 # ----------------------------------------------------------------------
 
 
+def _array_cases(max_d: int) -> Iterator[dict]:
+    """Every (K, q1, q2, s) with q1 + q2 + s <= max_d and 1 <= K <= 2d."""
+    for q1, q2, s in gs_parameter_tuples(max_d):
+        for K in range(1, 2 * (q1 + q2 + s) + 1):
+            yield {"K": K, "q1": q1, "q2": q2, "s": s}
+
+
 def sweep_surjections(max_d: int = 4) -> list[str]:
     """Paired-surjection counts equal canonical-array counts for K <= 2d."""
-    problems = []
-    for q1, q2, s in gs_parameter_tuples(max_d):
-        d = q1 + q2 + s
-        for K in range(1, 2 * d + 1):
-            f = brute.paired_surjection_count_brute(K, q1, q2, s)
-            c = brute.canonical_array_count_brute(K, q1, q2, s)
-            if f != c:
-                problems.append(f"surjections {q1},{q2},{s} K={K}: f={f} != c={c}")
-    return problems
+    return _compare("surjections", _array_cases(max_d), brute.paired_surjection_count_brute,
+                    brute.canonical_array_count_brute)
 
 
 def sweep_series_from_surjections(max_d: int = 4) -> list[str]:
@@ -142,8 +123,8 @@ def sweep_series_from_surjections(max_d: int = 4) -> list[str]:
             K: brute.paired_surjection_count_brute(K, q1, q2, s)
             for K in range(1, 2 * d + 1)
         }
-        built = series_from_surjections(f)
-        direct = gs_series(q1, q2, s)
+        built = formulas.series_from_surjections(f)
+        direct = formulas.gs_series(q1, q2, s)
         if built != direct:
             problems.append(
                 f"series_from_surjections {q1},{q2},{s}: {built.coeffs} != {direct.coeffs}"
@@ -153,54 +134,28 @@ def sweep_series_from_surjections(max_d: int = 4) -> list[str]:
 
 def sweep_canonical_from_vertical(max_d: int = 4) -> list[str]:
     """The vertical-to-canonical assembly equals direct canonical enumeration."""
-    problems = []
-    for q1, q2, s in gs_parameter_tuples(max_d):
-        d = q1 + q2 + s
-        for K in range(1, 2 * d + 1):
-            assembled = canonical_from_vertical(K, q1, q2, s, vertical_count_formula)
-            direct = brute.canonical_array_count_brute(K, q1, q2, s)
-            if assembled != direct:
-                problems.append(
-                    f"canonical_from_vertical {q1},{q2},{s} K={K}: "
-                    f"{assembled} != {direct}"
-                )
-    return problems
+    def assembled(K, q1, q2, s):
+        return formulas.canonical_from_vertical(K, q1, q2, s, formulas.vertical_count_formula)
+
+    return _compare("canonical_from_vertical", _array_cases(max_d), assembled,
+                    brute.canonical_array_count_brute)
 
 
 def sweep_vertical(max_K: int = 4, max_s: int = 5) -> list[str]:
     """Vertical-array closed form against enumeration, zero cases included."""
-    problems = []
-    for K in range(1, max_K + 1):
-        for R1 in range(1, K + 1):
-            for R2 in range(1, K + 1):
-                for s in range(1, max_s + 1):
-                    formula = vertical_count_formula(K, R1, R2, s)
-                    enumerated = brute.vertical_array_count_brute(K, R1, R2, s)
-                    if formula != enumerated:
-                        problems.append(
-                            f"vertical K={K} R1={R1} R2={R2} s={s}: "
-                            f"{formula} != {enumerated}"
-                        )
-    return problems
+    cases = ({"K": K, "R1": R1, "R2": R2, "s": s} for K in range(1, max_K + 1)
+             for R1 in range(1, K + 1) for R2 in range(1, K + 1) for s in range(1, max_s + 1))
+    return _compare("vertical", cases, formulas.vertical_count_formula,
+                    brute.vertical_array_count_brute)
 
 
 def sweep_omega(max_K: int = 4, max_s: int = 5) -> list[str]:
     """Balanced-occupancy count formula against enumeration, all compositions."""
-    problems = []
-    for K in range(1, max_K + 1):
-        for s in range(1, max_s + 1):
-            for w in brute._compositions(s, K):
-                for R1 in range(1, K + 1):
-                    for R2 in range(1, K + 1):
-                        o = SubstructureOmega(K, R1, R2, w)
-                        formula = omega_count_formula(o)
-                        enumerated = brute.omega_count_brute(o)
-                        if formula != enumerated:
-                            problems.append(
-                                f"omega K={K} R1={R1} R2={R2} w={w}: "
-                                f"{formula} != {enumerated}"
-                            )
-    return problems
+    cases = ({"substructure": SubstructureOmega(K, R1, R2, w)}
+             for K in range(1, max_K + 1) for s in range(1, max_s + 1)
+             for w in brute._compositions(s, K)
+             for R1 in range(1, K + 1) for R2 in range(1, K + 1))
+    return _compare("omega", cases, formulas.omega_count_formula, brute.omega_count_brute)
 
 
 # ----------------------------------------------------------------------
@@ -300,12 +255,12 @@ def sweep_gamma(
     modes = ("tight", "edge", None, None)
     for i in range(count):
         g = random_full_irreducible(rng, max_K, max_s, branch=modes[i % len(modes)])
-        tally = classify_columns(g)
+        tally = arrays.classify_columns(g)
         branch = (
             "zero" if g.s <= tally.A else "edge" if g.s == tally.A + 1 else "general"
         )
         branches[branch] += 1
-        formula = gamma_count_formula(g)
+        formula = formulas.gamma_count_formula(g)
         enumerated = brute.gamma_count_brute(g)
         if formula != enumerated:
             problems.append(f"gamma #{i} {g}: {formula} != {enumerated}")
@@ -319,9 +274,9 @@ def sweep_gamma_noarrows(count: int = 200, seed: int = 0) -> list[str]:
     nonfull = 0
     for i in range(count):
         g = random_balanced_noarrows(rng)
-        if not check_full(g):
+        if not arrays.check_full(g):
             nonfull += 1
-        formula = gamma_count_formula_noarrows(g)
+        formula = formulas.gamma_count_formula_noarrows(g)
         enumerated = brute.gamma_count_brute(g)
         if formula != enumerated:
             problems.append(f"gamma-noarrows #{i} {g}: {formula} != {enumerated}")
@@ -335,135 +290,117 @@ def sweep_gamma_noarrows(count: int = 200, seed: int = 0) -> list[str]:
 # ----------------------------------------------------------------------
 
 
-def _random_lemma_base(rng: random.Random, K: int, with_arrows: bool) -> tuple[
-    frozenset[int], frozenset[int], dict[int, int]
+def _random_lemma_base(rng: random.Random) -> tuple[
+    int, frozenset[int], frozenset[int], dict[int, int]
 ]:
+    K = rng.randint(2, 5)
     r1 = _random_nonempty_subset(rng, K)
     r2 = _random_nonempty_subset(rng, K)
     phi: dict[int, int] = {}
-    if with_arrows:
-        for j in range(K):
-            if j not in r1 and rng.random() < 0.3:
-                phi[j] = rng.randrange(K)
-    return r1, r2, phi
+    for j in range(K):
+        if j not in r1 and rng.random() < 0.3:
+            phi[j] = rng.randrange(K)
+    return K, r1, r2, phi
 
 
-def sweep_lemmas(count: int = 100, seed: int = 0) -> list[str]:
-    """Count preservation and condition biconditionals for the four rewrites."""
-    rng = random.Random(seed)
-    problems = []
-    problems += _sweep_to_mark(rng, count)
-    problems += _sweep_retarget(rng, count)
-    problems += _sweep_pointing(rng, count)
-    problems += _sweep_merging(rng, count)
-    return problems
+# Each draw returns (substructure, forced slot pair or None, rewritten substructure).
+_LemmaDraw = tuple[SubstructureGamma, tuple | None, SubstructureGamma]
 
 
-def _sweep_to_mark(rng: random.Random, count: int) -> list[str]:
-    problems = []
-    for i in range(count):
-        while True:
-            K = rng.randint(2, 5)
-            r1, r2, phi = _random_lemma_base(rng, K, with_arrows=True)
-            free = [j for j in range(K) if j not in r1]
-            if not free:
-                continue
+def _draw_to_mark(rng: random.Random) -> _LemmaDraw:
+    while True:
+        K, r1, r2, phi = _random_lemma_base(rng)
+        free = [j for j in range(K) if j not in r1]
+        if free:
             X = rng.choice(free)
             phi[X] = rng.choice(sorted(r1))
-            break
-        g = _random_gamma(rng, K, rng.randint(1, 6), phi, r1, r2)
-        out = arrow_simplify_to_mark(g, X)
-        if brute.gamma_count_brute(g) != brute.gamma_count_brute(out):
-            problems.append(f"to_mark #{i} {g}: count changed")
-        for name, check in (("balance", check_balance), ("nonempty", check_nonempty),
-                            ("full", check_full)):
-            if check(g) != check(out):
-                problems.append(f"to_mark #{i} {g}: {name} status changed")
-    return problems
+            g = _random_gamma(rng, K, rng.randint(1, 6), phi, r1, r2)
+            return g, None, transforms.arrow_simplify_to_mark(g, X)
 
 
-def _sweep_retarget(rng: random.Random, count: int) -> list[str]:
-    problems = []
-    for i in range(count):
-        while True:
-            K = rng.randint(2, 5)
-            r1, r2, phi = _random_lemma_base(rng, K, with_arrows=True)
-            free = [j for j in range(K) if j not in r1]
-            if len(free) < 2:
-                continue
+def _draw_retarget(rng: random.Random) -> _LemmaDraw:
+    while True:
+        K, r1, r2, phi = _random_lemma_base(rng)
+        free = [j for j in range(K) if j not in r1]
+        if len(free) >= 2:
             X, Y = rng.sample(free, 2)
             phi[X] = Y
             phi[Y] = rng.randrange(K)  # Z may equal X: the two-cycle case
-            break
-        g = _random_gamma(rng, K, rng.randint(1, 6), phi, r1, r2)
-        out = arrow_simplify_retarget(g, X)
-        if brute.gamma_count_brute(g) != brute.gamma_count_brute(out):
-            problems.append(f"retarget #{i} {g}: count changed")
-        for name, check in (("balance", check_balance), ("nonempty", check_nonempty),
-                            ("full", check_full)):
-            if check(g) != check(out):
-                problems.append(f"retarget #{i} {g}: {name} status changed")
-    return problems
+            g = _random_gamma(rng, K, rng.randint(1, 6), phi, r1, r2)
+            return g, None, transforms.arrow_simplify_retarget(g, X)
 
 
-def _sweep_pointing(rng: random.Random, count: int) -> list[str]:
+def _draw_pointing(rng: random.Random) -> _LemmaDraw:
+    while True:
+        K, r1, r2, phi = _random_lemma_base(rng)
+        g = _random_gamma(rng, K, rng.randint(2, 6), phi, r1, r2)
+        w1, w2 = g.w
+        crit = arrays.critical_vertices(g)
+        xs = [j for j in range(K) if (1, j) in crit]
+        # cells with a non-critical vertex: more vertices than critical ones
+        ys = [j for j in range(K) if w2[j] > ((2, j) in crit)]
+        choices = [(x, y) for x in xs for y in ys if x != y]
+        if choices:
+            X, Y = rng.choice(choices)
+            pair = (X, w1[X] - 1), (Y, w2[Y] - 1 if Y in r2 else 0)
+            return g, pair, transforms.column_pointing(g, X, Y)
+
+
+def _draw_merging(rng: random.Random) -> _LemmaDraw:
+    """A full substructure with a critical pair in distinct columns.
+
+    K <= 5 keeps the lower bound of s, one vertex per column that needs one,
+    below its cap of 6.
+    """
+    while True:
+        K, r1, r2, phi = _random_lemma_base(rng)
+        need1 = [j for j in range(K) if j not in r1 and j not in phi]
+        need2 = [j for j in range(K) if j not in r2]
+        s = rng.randint(max(len(need1), len(need2), 1), 6)
+        w1 = _top_up(rng, [1 if j in need1 else 0 for j in range(K)], s)
+        w2 = _top_up(rng, [1 if j in need2 else 0 for j in range(K)], s)
+        g = SubstructureGamma((w1, w2), r1, r2, tuple(sorted(phi.items())))
+        crit = arrays.critical_vertices(g)
+        xs = [j for j in range(K) if (1, j) in crit]
+        ys = [j for j in range(K) if (2, j) in crit]
+        choices = [(x, y) for x in xs for y in ys if x != y]
+        if choices and arrays.check_full(g):
+            X, Y = rng.choice(choices)
+            return g, ((X, w1[X] - 1), (Y, w2[Y] - 1)), transforms.column_merging(g, X, Y)
+
+
+def sweep_lemmas(count: int = 100, seed: int = 0) -> list[str]:
+    """Count preservation and condition biconditionals for the four rewrites.
+
+    Column pointing and merging preserve the count restricted to the forced
+    slot pair. Merging draws only full substructures, so its rewrite must be
+    full; the other rewrites must keep each listed condition's status.
+    """
+    rng = random.Random(seed)
     problems = []
-    for i in range(count):
-        while True:
-            K = rng.randint(2, 5)
-            r1, r2, phi = _random_lemma_base(rng, K, with_arrows=True)
-            g = _random_gamma(rng, K, rng.randint(2, 6), phi, r1, r2)
-            w1, w2 = g.w
-            crit = critical_vertices(g)
-            xs = [j for j in range(K) if (1, j) in crit]
-            # cells with a non-critical vertex: more vertices than critical ones
-            ys = [j for j in range(K) if w2[j] > ((2, j) in crit)]
-            choices = [(x, y) for x in xs for y in ys if x != y]
-            if choices:
-                X, Y = rng.choice(choices)
-                break
-        v = (X, w1[X] - 1)
-        u = (Y, w2[Y] - 1 if Y in r2 else 0)
-        restricted = brute.gamma_count_brute_with_pair(g, v, u)
-        out = column_pointing(g, X, Y)
-        if restricted != brute.gamma_count_brute(out):
-            problems.append(f"pointing #{i} {g} X={X} Y={Y}: count changed")
-        for name, check in (("nonempty", check_nonempty), ("full", check_full)):
-            if check(g) != check(out):
-                problems.append(f"pointing #{i} {g} X={X} Y={Y}: {name} status changed")
-    return problems
-
-
-def _sweep_merging(rng: random.Random, count: int) -> list[str]:
-    problems = []
-    for i in range(count):
-        while True:
-            K = rng.randint(2, 5)
-            r1, r2, phi = _random_lemma_base(rng, K, with_arrows=True)
-            need1 = [j for j in range(K) if j not in r1 and j not in phi]
-            need2 = [j for j in range(K) if j not in r2]
-            minimum = max(len(need1), len(need2), 1)
-            if minimum > 6:
-                continue
-            s = rng.randint(minimum, 6)
-            w1 = _top_up(rng, [1 if j in need1 else 0 for j in range(K)], s)
-            w2 = _top_up(rng, [1 if j in need2 else 0 for j in range(K)], s)
-            g = SubstructureGamma((w1, w2), r1, r2, tuple(sorted(phi.items())))
-            crit = critical_vertices(g)
-            xs = [j for j in range(K) if (1, j) in crit]
-            ys = [j for j in range(K) if (2, j) in crit]
-            choices = [(x, y) for x in xs for y in ys if x != y]
-            if choices and check_full(g):
-                X, Y = rng.choice(choices)
-                break
-        v = (X, g.w[0][X] - 1)
-        u = (Y, g.w[1][Y] - 1)
-        restricted = brute.gamma_count_brute_with_pair(g, v, u)
-        out = column_merging(g, X, Y)
-        if restricted != brute.gamma_count_brute(out):
-            problems.append(f"merging #{i} {g} X={X} Y={Y}: count changed")
-        if not check_full(out):
-            problems.append(f"merging #{i} {g} X={X} Y={Y}: output not full")
+    kept = ("balance", "nonempty", "full")
+    for lemma, draw, conditions in (
+        ("to_mark", _draw_to_mark, kept),
+        ("retarget", _draw_retarget, kept),
+        ("pointing", _draw_pointing, kept[1:]),
+        ("merging", _draw_merging, ()),
+    ):
+        for i in range(count):
+            g, pair, out = draw(rng)
+            before = (brute.gamma_count_brute(g) if pair is None
+                      else brute.gamma_count_brute_with_pair(g, *pair))
+            after = brute.gamma_count_brute(out)
+            failed = [f"count {before} != {after}"] if before != after else []
+            for name in conditions:
+                check = getattr(arrays, f"check_{name}")
+                held, holds = check(g), check(out)
+                if held != holds:
+                    failed.append(f"{name} {held} != {holds}")
+            if lemma == "merging" and not arrays.check_full(out):
+                failed.append("full True != False")
+            if failed:  # substructure reprs are too slow to build for every draw
+                where = f"{lemma} #{i} {g}" + (f" pair={pair}" if pair else "") + f" -> {out}"
+                problems += [f"{where}: {what}" for what in failed]
     return problems
 
 

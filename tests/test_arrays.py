@@ -385,6 +385,17 @@ def test_omega_json_roundtrip():
     assert o.s == 3 and o.F == 2
 
 
+@pytest.mark.parametrize(
+    "K, R1, R2, w",
+    [(2, 1.5, 1, (1, 1)), (2.0, 1, 1, (1, 1)), (2, 1, True, (1, 1)), (True, 1, 1, (2,)),
+     (2, "1", 1, (1, 1))],
+)
+def test_omega_counts_must_be_integers(K, R1, R2, w):
+    # the formula and the brute counter disagreed on such values (0 against TypeError)
+    with pytest.raises(ValueError, match="K and the mark counts must be integers"):
+        SubstructureOmega(K, R1, R2, w)
+
+
 def test_gamma_validation():
     with pytest.raises(ValueError):
         gamma_of([[1], [2]], {0}, {0})  # row totals differ

@@ -170,6 +170,54 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert out == "FAIL hz: hz q=1: planted mismatch\n"
 
 
+def test_verify_compare_failure_names_case_and_counts(capsys, monkeypatch):
+    from mapenum import brute
+
+    canonical = brute.canonical_array_count_brute
+    c = canonical(2, 0, 0, 2)
+    monkeypatch.setattr(brute, "canonical_array_count_brute",
+                        lambda *a: canonical(*a) + (a == (2, 0, 0, 2)))
+    code, out, _ = run(capsys, "verify", "--max-d", "2")
+    assert code == 1
+    assert f"FAIL surjections: surjections K=2 q1=0 q2=0 s=2: {c} != {c + 1}\n" in out
+    assert f"FAIL vertical: canonical_from_vertical K=2 q1=0 q2=0 s=2: {c} != {c + 1}\n" in out
+
+
+def test_verify_series_failure_names_case_and_counts(capsys, monkeypatch):
+    from mapenum import brute
+    from mapenum.exact import CycleCountVector
+
+    gs_counts = brute.gs_counts_brute
+    real = gs_counts(1, 1, 1)
+    assert real.counts == (0, 0, 9, 0)
+    moved = CycleCountVector(3, (9, 0, 0, 0))  # same total, same parity
+    monkeypatch.setattr(brute, "gs_counts_brute",
+                        lambda *a: moved if a == (1, 1, 1) else gs_counts(*a))
+    code, out, _ = run(capsys, "verify", "--suite", "gs", "--max-d", "3")
+    assert code == 1
+    assert out == (f"FAIL gs: gs q1=1 q2=1 s=1: formula {real.to_poly().integer_coeffs()} "
+                   f"!= brute {moved.to_poly().integer_coeffs()}\n")
+
+
+def test_verify_lemma_failure_names_substructure_and_counts(capsys, monkeypatch):
+    from mapenum import brute
+
+    restricted = brute.gamma_count_brute_with_pair
+    first = []
+
+    def planted(g, v, u):
+        n = restricted(g, v, u)
+        first.append((g, (v, u), n))
+        return n + 1
+
+    monkeypatch.setattr(brute, "gamma_count_brute_with_pair", planted)
+    code, out, _ = run(capsys, "verify", "--suite", "lemmas")
+    assert code == 1
+    g, pair, n = first[0]
+    assert out.startswith(f"FAIL lemmas: pointing #0 {g} pair={pair} -> ")
+    assert out.endswith(f": count {n + 1} != {n}\n")
+
+
 def test_count_gamma_rejects_inconsistent_spec(tmp_path, capsys):
     spec = tmp_path / "gamma.json"
     spec.write_text(

@@ -143,3 +143,31 @@ def test_random_instance_stream_is_pinned(monkeypatch):
     verify.sweep_lemmas(20, 0)
     assert len(seen) == 240
     assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == INSTANCE_STREAM_SHA256
+
+
+@pytest.mark.parametrize(
+    "sweep, args, expected",
+    [
+        ("sweep_surjections", (4,),
+         {"paired_surjection_count_brute": 130, "canonical_array_count_brute": 130}),
+        ("sweep_canonical_from_vertical", (4,), {"canonical_array_count_brute": 130}),
+        ("sweep_series_from_surjections", (4,), {"paired_surjection_count_brute": 130}),
+        ("sweep_vertical", (4, 5), {"vertical_array_count_brute": 150}),
+        ("sweep_omega", (4, 5), {"omega_count_brute": 2580}),
+        ("sweep_hz", (7,), {"hz_counts_brute": 7}),
+        ("sweep_gs", (6,), {"gs_counts_brute": 56}),
+    ],
+)
+def test_exhaustive_sweeps_check_every_case(monkeypatch, sweep, args, expected):
+    # a loop that silently dropped cases would still return no problems
+    from mapenum import brute, verify
+
+    calls = dict.fromkeys(expected, 0)
+    for name in expected:
+        def counted(*a, _name=name, _oracle=getattr(brute, name)):
+            calls[_name] += 1
+            return _oracle(*a)
+
+        monkeypatch.setattr(brute, name, counted)
+    assert getattr(verify, sweep)(*args) == []
+    assert calls == expected

@@ -458,6 +458,15 @@ def test_omega_anchors():
         assert omega_count_brute(SubstructureOmega(1, 1, 1, (s,))) == factorial(s)
 
 
+def test_omega_decomposes_vertical():
+    for K, R1, R2, s in [(2, 1, 1, 2), (2, 2, 1, 2), (3, 2, 2, 3)]:
+        total = sum(
+            omega_count_brute(SubstructureOmega(K, R1, R2, w))
+            for w in _compositions(s, K)
+        )
+        assert total == vertical_array_count_brute(K, R1, R2, s)
+
+
 @pytest.mark.parametrize("K, R1, R2, s", [(2, 1, 1, 2), (3, 2, 1, 2), (3, 2, 2, 2), (3, 1, 2, 3)])
 def test_vertical_brute_matches_checker_based_enumeration(K, R1, R2, s):
     """Accepted candidates pass all three conditions; rejected ones fail one.

@@ -187,7 +187,7 @@ def _tally_state(
 
 def hz_counts_brute(q: int) -> CycleCountVector:
     """Tally pairings of [2q] by the cycle count of mu composed with gamma inverse."""
-    if q < 1:
+    if _as_int(q, "parameters") < 1:
         raise ValueError("q must be positive")
     tally = _pairing_tally((2 * q,))
     return CycleCountVector.from_tally(q, {L: c for (_, L), c in tally.items()})
@@ -195,6 +195,7 @@ def hz_counts_brute(q: int) -> CycleCountVector:
 
 def gs_counts_brute(q1: int, q2: int, s: int) -> CycleCountVector:
     """Tally two-row pairings with q_i within-row pairs and s mixed pairs."""
+    q1, q2, s = (_as_int(x, "parameters") for x in (q1, q2, s))
     if q1 < 0 or q2 < 0 or s < 1:
         raise ValueError("need q1, q2 >= 0 and s >= 1")
     tally = _pairing_tally((2 * q1 + s, 2 * q2 + s))
@@ -220,7 +221,7 @@ def _surjections(L: int, K: int) -> int:
     return K * (_surjections(L - 1, K) + _surjections(L - 1, K - 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def paired_surjection_count_brute(K: int, q1: int, q2: int, s: int) -> int:
     """Count pairs (mu, pi) with pi surjective onto [K] and pi(mu(v)) = pi(gamma(v)).
 
@@ -229,6 +230,7 @@ def paired_surjection_count_brute(K: int, q1: int, q2: int, s: int) -> int:
     cycles of mu gamma^-1. So the count is the sum over the class's cycle
     tally from ``_pairing_tally`` of (pairings with L cycles) * Surj(L, K).
     """
+    K, q1, q2, s = (_as_int(x, "parameters") for x in (K, q1, q2, s))
     if K < 1 or s < 1 or q1 < 0 or q2 < 0:
         raise ValueError("need K >= 1, s >= 1, q1, q2 >= 0")
     tally = _pairing_tally((2 * q1 + s, 2 * q2 + s))
@@ -417,6 +419,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def vertical_array_count_brute(K: int, R1: int, R2: int, s: int) -> int:
     """Proper vertical arrays: occupancies, mark subsets, and slot matchings."""
+    K, R1, R2, s = (_as_int(x, "parameters") for x in (K, R1, R2, s))
     if K < 1 or R1 < 1 or R2 < 1 or s < 1:
         raise ValueError("need K, R1, R2, s >= 1")
     if R1 > K or R2 > K:
@@ -431,7 +434,7 @@ def vertical_array_count_brute(K: int, R1: int, R2: int, s: int) -> int:
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def canonical_array_count_brute(K: int, q1: int, q2: int, s: int) -> int:
     """Proper paired arrays with a single marked column per row.
 
@@ -455,6 +458,7 @@ def canonical_array_count_brute(K: int, q1: int, q2: int, s: int) -> int:
     rooting psi1) * (single marks rooting psi2), from the mark-set step
     ``_rooting_marks`` shared with ``omega_count_brute``.
     """
+    K, q1, q2, s = (_as_int(x, "parameters") for x in (K, q1, q2, s))
     if K < 1 or s < 1 or q1 < 0 or q2 < 0:
         raise ValueError("need K >= 1, s >= 1, q1, q2 >= 0")
     p1, p2 = 2 * q1 + s, 2 * q2 + s

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import brute, verify
 from .arrays import SubstructureGamma, SubstructureOmega, check_balance, check_full
-from .exact import CycleCountVector, MonomialPoly
+from .exact import CycleCountVector
 from .formulas import (
     gamma_count_formula,
     gamma_count_formula_noarrows,
@@ -29,8 +29,9 @@ from .formulas import (
 from .transforms import CycleDetected, irreducible_closure
 
 
-def _emit_series(poly: MonomialPoly, fmt: str) -> None:
-    coeffs = poly.integer_coeffs()
+def _emit_series(counts: CycleCountVector, fmt: str) -> None:
+    """The generating polynomial: each non-zero a_L at degree L."""
+    coeffs = {L: a for L, a in enumerate(counts.counts, start=1) if a}
     if fmt == "json":
         payload = {
             "basis": "monomial",
@@ -60,9 +61,9 @@ def _cmd_hz(args: argparse.Namespace) -> int:
         poly = hz_series(args.q).to_monomial()
         counts = CycleCountVector.from_tally(args.q, poly.integer_coeffs())
     if args.by_genus:
-        _emit_genus_table(genus_counts(counts, 1, args.q), args.format)
+        _emit_genus_table(genus_counts(counts, 1), args.format)
     else:
-        _emit_series(counts.to_poly(), args.format)
+        _emit_series(counts, args.format)
     return 0
 
 
@@ -75,9 +76,9 @@ def _cmd_gs(args: argparse.Namespace) -> int:
         poly = series(args.q1, args.q2, args.s).to_monomial()
         counts = CycleCountVector.from_tally(d, poly.integer_coeffs())
     if args.by_genus:
-        _emit_genus_table(genus_counts(counts, 2, d), args.format)
+        _emit_genus_table(genus_counts(counts, 2), args.format)
     else:
-        _emit_series(counts.to_poly(), args.format)
+        _emit_series(counts, args.format)
     return 0
 
 

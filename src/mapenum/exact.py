@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, perm, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -191,22 +190,6 @@ class CycleCountVector:
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _binomial_basis_monomials(k: int) -> tuple[int, ...]:
-    """Monomial coefficients of x(x-1)...(x-k+1) = k! C(x, k), degree 0..k.
-
-    These are the signed Stirling numbers of the first kind s(k, deg).
-    """
-    coeffs = [1]
-    for t in range(k):
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] -= c * t
-        coeffs = nxt
-    return tuple(coeffs)
-
-
 @dataclass
 class BinomialPoly:
     """Integer combination of binomial-basis terms C(x, k) with k >= 1."""
@@ -228,17 +211,19 @@ class BinomialPoly:
     def to_monomial(self) -> "MonomialPoly":
         """Exact expansion into the monomial basis.
 
-        C(x, k) = x(x-1)...(x-k+1) * (top!/k!) / top! for the top index, so
-        every degree sums integers and divides once by top!.
+        With A_k = c_k top!/k! for the top index, top! times the series is
+        A_0 + x(A_1 + (x-1)(A_2 + ... + (x-top+1) A_top)), since k! C(x, k)
+        is the falling factorial x(x-1)...(x-k+1). The integer numerator is
+        built from the top index down, one multiply by (x - k) per index,
+        and divided once by top!.
         """
         top = max(self.coeffs, default=0)
-        acc: dict[int, int] = {}
-        for k, c in self.coeffs.items():
-            scale = c * perm(top, top - k)
-            for deg, m in enumerate(_binomial_basis_monomials(k)):
-                acc[deg] = acc.get(deg, 0) + scale * m
+        num = [self.coeffs.get(top, 0)]  # ascending degree
+        for k in range(top - 1, -1, -1):
+            num = [lower - k * c for lower, c in zip([0] + num, num + [0])]
+            num[0] += self.coeffs.get(k, 0) * perm(top, top - k)
         top_factorial = factorial(top)
-        return MonomialPoly({deg: Fraction(n, top_factorial) for deg, n in acc.items()})
+        return MonomialPoly({deg: Fraction(n, top_factorial) for deg, n in enumerate(num)})
 
 
 @dataclass

@@ -16,7 +16,7 @@ from .arrays import (
     SubstructureGamma, SubstructureOmega, check_full, classify_columns, critical_vertices,
     is_irreducible,
 )
-from .exact import BinomialPoly, CycleCountVector, binomial, double_factorial, multinomial
+from .exact import BinomialPoly, CycleCountVector, _as_int, binomial, double_factorial, multinomial
 
 
 def _as_count(num: int, den: int, context: str) -> int:
@@ -39,7 +39,7 @@ def hz_series(q: int) -> BinomialPoly:
 
     Coefficient of C(x, k) is (2q-1)!! * 2^(k-1) * C(q, k-1) for k = 1..q+1.
     """
-    if q < 1:
+    if _as_int(q, "parameters") < 1:
         raise ValueError("q must be a positive integer")
     lead = double_factorial(2 * q - 1)
     return BinomialPoly(
@@ -56,6 +56,7 @@ def gs_series(q1: int, q2: int, s: int) -> BinomialPoly:
     contributes. Over the denominator 2^d d! the reciprocal part of that
     weight is multinomial(i, j, d-i-j) 2^(d-i-j).
     """
+    q1, q2, s = (_as_int(x, "parameters") for x in (q1, q2, s))
     if s < 1:
         raise ValueError("s must be positive")
     if q1 < 0 or q2 < 0:
@@ -90,6 +91,7 @@ def gs_series_simplified(q1: int, q2: int, s: int) -> BinomialPoly:
     bracket of reciprocal factorials is a difference of products of falling
     factorials perm(n, t), which are 0 for t > n.
     """
+    q1, q2, s = (_as_int(x, "parameters") for x in (q1, q2, s))
     if s < 1:
         raise ValueError("s must be positive")
     if q1 < 0 or q2 < 0:
@@ -129,6 +131,9 @@ def series_from_surjections(f: Mapping[int, int]) -> BinomialPoly:
 
 def vertical_count_formula(K: int, R1: int, R2: int, s: int) -> int:
     """Closed form for the number of proper vertical arrays."""
+    # plain ints skip the checks: canonical_from_vertical calls this once per term
+    if not type(K) is type(R1) is type(R2) is type(s) is int:
+        K, R1, R2, s = (_as_int(x, "parameters") for x in (K, R1, R2, s))
     if K < 1 or R1 < 1 or R2 < 1 or s < 1:
         raise ValueError("need K, R1, R2, s >= 1")
     bracket = binomial(K - 1, R1 - 1) * binomial(K - 1, R2 - 1) - binomial(
@@ -219,6 +224,8 @@ def canonical_from_vertical(
     p1! p2! / (2^(t1+t2) t1! t2! (s+q1-t1)! (s+q2-t2)!), here over the
     denominator 2^(q1+q2) (s+q1)! (s+q2)!.
     """
+    if not type(K) is type(q1) is type(q2) is type(s) is int:  # as in vertical_count_formula
+        K, q1, q2, s = (_as_int(x, "parameters") for x in (K, q1, q2, s))
     if s < 1:
         raise ValueError("s must be positive")
     p1, p2 = 2 * q1 + s, 2 * q2 + s
@@ -238,18 +245,16 @@ def canonical_from_vertical(
 # ----------------------------------------------------------------------
 
 
-def genus_counts(v: CycleCountVector, n_vertices: int, d_edges: int) -> dict[int, int]:
-    """Map each face count L with a_L > 0 to its genus (2 - V + E - L) / 2."""
+def genus_counts(v: CycleCountVector, n_vertices: int) -> dict[int, int]:
+    """Map each face count L with a_L > 0 to its genus (2 - V + E - L) / 2, E = v.d."""
     if n_vertices not in (1, 2):
         raise ValueError("n_vertices must be 1 or 2")
-    if v.d != d_edges:
-        raise ValueError(f"cycle counts are for {v.d} edges, not {d_edges}")
     out: dict[int, int] = {}
     for L in range(1, v.d + 2):
         a = v.a(L)
         if a == 0:
             continue
-        twice_genus = 2 - n_vertices + d_edges - L
+        twice_genus = 2 - n_vertices + v.d - L
         if twice_genus < 0 or twice_genus % 2 != 0:
             raise ValueError(f"parity violation at L={L}: corrupted cycle counts")
         out[twice_genus // 2] = a

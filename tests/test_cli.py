@@ -3,6 +3,7 @@ import json
 import pytest
 
 from mapenum.cli import build_parser, main
+from mapenum.verify import gs_parameter_tuples
 
 
 def run(capsys, *argv):
@@ -26,10 +27,17 @@ def test_hz_series_json_schema(capsys):
     assert all(isinstance(v, str) for v in payload["coeffs"].values())
 
 
+# every output format: json and csv, series and genus table
+OUTPUT_OPTIONS = [("--format", fmt, *genus) for fmt in ("json", "csv")
+                  for genus in ((), ("--by-genus",))]
+
+
 def test_hz_methods_agree(capsys):
-    _, formula, _ = run(capsys, "hz", "--q", "3")
-    _, brute, _ = run(capsys, "hz", "--q", "3", "--method", "brute")
-    assert formula == brute
+    for options in OUTPUT_OPTIONS:
+        for q in range(1, 7):
+            _, formula, _ = run(capsys, "hz", "--q", str(q), *options)
+            _, brute, _ = run(capsys, "hz", "--q", str(q), "--method", "brute", *options)
+            assert formula == brute, (q, options)
 
 
 def test_gs_methods_agree_bytewise(capsys):
@@ -40,6 +48,15 @@ def test_gs_methods_agree_bytewise(capsys):
         assert code == 0
         outputs.add(out)
     assert outputs == {'{"basis": "monomial", "coeffs": {"2": "2"}}\n'}
+    for options in OUTPUT_OPTIONS:
+        for q1, q2, s in gs_parameter_tuples(5):
+            outputs = set()
+            for method in ("formula", "simplified", "brute"):
+                code, out, _ = run(capsys, "gs", "--q1", str(q1), "--q2", str(q2),
+                                   "--s", str(s), "--method", method, *options)
+                assert code == 0
+                outputs.add(out)
+            assert len(outputs) == 1, (q1, q2, s, options)
 
 
 def test_gs_csv_format(capsys):
@@ -197,6 +214,19 @@ def test_verify_series_failure_names_case_and_counts(capsys, monkeypatch):
     assert code == 1
     assert out == (f"FAIL gs: gs q1=1 q2=1 s=1: formula {real.to_poly().integer_coeffs()} "
                    f"!= brute {moved.to_poly().integer_coeffs()}\n")
+
+
+def test_series_from_surjections_failure_names_case_and_series(monkeypatch):
+    from mapenum import brute, verify
+
+    surjections = brute.paired_surjection_count_brute
+    assert surjections(2, 0, 0, 1) == 0
+    monkeypatch.setattr(brute, "paired_surjection_count_brute",
+                        lambda *a: surjections(*a) + 5 * (a == (2, 0, 0, 1)))
+    assert verify.sweep_series_from_surjections(max_d=2) == [
+        "series_from_surjections q1=0 q2=0 s=1: "
+        "BinomialPoly(coeffs={1: 1, 2: 5}) != BinomialPoly(coeffs={1: 1})"
+    ]
 
 
 def test_verify_lemma_failure_names_substructure_and_counts(capsys, monkeypatch):

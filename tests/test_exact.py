@@ -14,6 +14,7 @@ from mapenum.exact import (
     gamma_of_rows,
     multinomial,
 )
+from mapenum.formulas import gs_series, hz_series
 
 
 def test_double_factorial_values():
@@ -175,3 +176,17 @@ def test_binomial_to_monomial_roundtrip_by_evaluation(coeffs):
     m = p.to_monomial()
     for x in range(0, 41):
         assert m.eval(x) == p.eval(x)
+
+
+@pytest.mark.parametrize(
+    "series",
+    [hz_series(120), gs_series(0, 0, 24), gs_series(5, 7, 12)],
+    ids=["hz-120", "gs-0-0-24", "gs-5-7-12"],
+)
+def test_binomial_to_monomial_at_cli_scale(series):
+    # top + 2 points pin a polynomial of degree top
+    top = max(series.coeffs)
+    m = series.to_monomial()
+    assert max(m.coeffs) == top
+    for x in range(top + 2):
+        assert m.eval(x) == series.eval(x)

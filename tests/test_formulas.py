@@ -4,6 +4,8 @@ import pytest
 
 from mapenum.arrays import SubstructureGamma, SubstructureOmega
 from mapenum.brute import (
+    _surjections,
+    canonical_array_count_brute,
     gamma_count_brute,
     gs_counts_brute,
     hz_counts_brute,
@@ -11,7 +13,7 @@ from mapenum.brute import (
     paired_surjection_count_brute,
     vertical_array_count_brute,
 )
-from mapenum.exact import CycleCountVector
+from mapenum.exact import BinomialPoly, CycleCountVector
 from mapenum.formulas import (
     _as_count,
     canonical_from_vertical,
@@ -222,19 +224,61 @@ def test_canonical_from_vertical_accepts_brute_source():
 
 
 def test_genus_counts_one_vertex():
-    assert genus_counts(hz_counts_brute(2), 1, 2) == {0: 2, 1: 1}
+    assert genus_counts(hz_counts_brute(2), 1) == {0: 2, 1: 1}
 
 
 def test_genus_counts_two_vertices():
-    assert genus_counts(gs_counts_brute(0, 0, 2), 2, 2) == {0: 2}
-    assert genus_counts(gs_counts_brute(0, 0, 1), 2, 1) == {0: 1}
+    assert genus_counts(gs_counts_brute(0, 0, 2), 2) == {0: 2}
+    assert genus_counts(gs_counts_brute(0, 0, 1), 2) == {0: 1}
 
 
 def test_genus_counts_rejects_parity_violation():
     bad = CycleCountVector(2, (0, 1, 0))  # L=2 with one vertex, d=2: odd 2-2g
     with pytest.raises(ValueError):
-        genus_counts(bad, 1, 2)
+        genus_counts(bad, 1)
     with pytest.raises(ValueError):
-        genus_counts(hz_counts_brute(2), 1, 3)  # inconsistent edge count
-    with pytest.raises(ValueError):
-        genus_counts(hz_counts_brute(2), 3, 2)
+        genus_counts(hz_counts_brute(2), 3)
+
+
+# ----------------------------------------------------------------------
+# Integer parameters
+# ----------------------------------------------------------------------
+
+INTEGER_PARAMETER_CASES = [
+    (hz_counts_brute, (3,)),
+    (gs_counts_brute, (1, 0, 2)),
+    (paired_surjection_count_brute, (3, 1, 0, 2)),
+    (canonical_array_count_brute, (2, 1, 0, 1)),
+    (vertical_array_count_brute, (2, 1, 1, 2)),
+    (hz_series, (3,)),
+    (gs_series, (1, 0, 2)),
+    (gs_series_simplified, (1, 0, 2)),
+    (vertical_count_formula, (2, 1, 1, 2)),
+    (canonical_from_vertical, (2, 1, 0, 1, vertical_count_formula)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args", INTEGER_PARAMETER_CASES, ids=[fn.__name__ for fn, _ in INTEGER_PARAMETER_CASES]
+)
+def test_parameters_must_be_integers(fn, args):
+    # a float or bool must raise before any cache sees it: as a key, 3.0 and
+    # True equal 3 and 1, so a computed float would be read back by int calls
+    expected = fn(*args)
+    _surjections.cache_clear()
+    paired_surjection_count_brute.cache_clear()
+    for _ in range(2):  # on cleared caches, then with the int call's entries cached
+        for i, a in enumerate(args):
+            if isinstance(a, int):
+                for bad in (float(a), bool(a)):
+                    with pytest.raises(ValueError, match="must be integers"):
+                        fn(*args[:i], bad, *args[i + 1:])
+        again = fn(*args)
+        assert again == expected
+        if isinstance(again, CycleCountVector):
+            values = again.counts
+        elif isinstance(again, BinomialPoly):
+            values = again.coeffs.values()
+        else:
+            values = [again]
+        assert {type(v) for v in values} == {int}

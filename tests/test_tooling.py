@@ -1,4 +1,4 @@
-"""Checks on the shipped code and scripts themselves."""
+"""Checks on the shipped code itself."""
 
 import ast
 import hashlib
@@ -7,16 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from mapenum.exact import CycleCountVector
-
 ROOT = Path(__file__).resolve().parent.parent
-ARGV = ["genus_tables.py", "--max-q", "3", "--max-d", "2", "--certify"]
 
 
 @pytest.mark.parametrize(
-    "path",
-    sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").rglob("*.py")),
-    ids=lambda p: str(p.relative_to(ROOT)),
+    "path", sorted((ROOT / "src").rglob("*.py")), ids=lambda p: str(p.relative_to(ROOT))
 )
 def test_no_assert_statements(path):
     # python -O strips assert statements, so no invariant may rest on one
@@ -78,29 +73,6 @@ def _load_script(relative):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def test_genus_tables_certify_passes(monkeypatch, capsys):
-    script = _load_script("scripts/genus_tables.py")
-    monkeypatch.setattr("sys.argv", ARGV)
-    assert script.main() == 0
-    assert capsys.readouterr().out.endswith("all rows certified against enumeration\n")
-
-
-def test_genus_tables_certify_fails_on_a_wrong_row(monkeypatch, capsys):
-    script = _load_script("scripts/genus_tables.py")
-    real = script.hz_counts_brute
-
-    def wrong(q):
-        counts = list(real(q).counts)
-        counts[-1] += 1
-        return CycleCountVector(q, tuple(counts))
-
-    monkeypatch.setattr(script, "hz_counts_brute", wrong)
-    monkeypatch.setattr("sys.argv", ARGV)
-    assert script.main() == 1
-    err = capsys.readouterr().err
-    assert err.startswith("mismatch at q=1: ") and err.count("\n") == 1
 
 
 # Names in bench/tracer.py's LAYERS that no longer exist in mapenum; the

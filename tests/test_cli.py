@@ -35,8 +35,9 @@ OUTPUT_OPTIONS = [("--format", fmt, *genus) for fmt in ("json", "csv")
 def test_hz_methods_agree(capsys):
     for options in OUTPUT_OPTIONS:
         for q in range(1, 7):
-            _, formula, _ = run(capsys, "hz", "--q", str(q), *options)
-            _, brute, _ = run(capsys, "hz", "--q", str(q), "--method", "brute", *options)
+            code1, formula, _ = run(capsys, "hz", "--q", str(q), *options)
+            code2, brute, _ = run(capsys, "hz", "--q", str(q), "--method", "brute", *options)
+            assert code1 == code2 == 0
             assert formula == brute, (q, options)
 
 

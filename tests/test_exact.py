@@ -184,7 +184,7 @@ def test_binomial_to_monomial_roundtrip_by_evaluation(coeffs):
     ids=["hz-120", "gs-0-0-24", "gs-5-7-12"],
 )
 def test_binomial_to_monomial_at_cli_scale(series):
-    # top + 2 points pin a polynomial of degree top
+    # top + 2 points, one more than a polynomial of degree top needs, pin it
     top = max(series.coeffs)
     m = series.to_monomial()
     assert max(m.coeffs) == top

@@ -391,6 +391,28 @@ def _rooted_forest(psi: Mapping[int, int], roots: AbstractSet[int]) -> bool:
     return True
 
 
+def _stays_rooted(psi: Mapping[int, int], roots: AbstractSet[int], j: int, h: int) -> bool:
+    """Whether psi + {j: h} is rooted at ``roots`` minus j, given that psi is
+    rooted at ``roots`` (``_rooted_forest``) and that j is a root outside
+    psi's domain: the edge of a pending column j is placed.
+
+    It is exactly when the walk from h in psi ends at a root other than j.
+    The new map agrees with psi except at j, where psi's walks stopped. If
+    the walk from h ends at a root r != j, a walk of the new map runs as in
+    psi until it ends at a root other than j, or meets j and goes on to h
+    and so to r, visiting j once: every column is rooted. If it ends at j
+    (h = j included), j -> h -> ... -> j is a cycle of the new map. If it
+    hits a dead end, so does the new map's walk from j. The walk from h
+    always ends: h is a root, a dead end, or in psi's domain, whose walks
+    end at a root.
+    """
+    while h not in roots:
+        if h not in psi:
+            return False  # a dead end that is not a root
+        h = psi[h]
+    return h != j
+
+
 def check_forest(a: PairedArray) -> bool:
     """Both per-row forest maps reach the marked columns without cycles."""
     return _rooted_forest(forest_function(a, 1), a.r1) and _rooted_forest(

@@ -20,6 +20,7 @@ from .arrays import (
     _rightmost_slots,
     _rooted_forest,
     _slot_columns,
+    _stays_rooted,
     open_columns,
 )
 from .exact import CycleCountVector, Pairing, _as_int, gamma_of_rows
@@ -270,87 +271,119 @@ def _count_forest_matchings(g: SubstructureGamma, forced: tuple[int, int] | None
     to row-2 slot u (flat slot indices in row order).
 
     Only the critical slots, rightmost in their open cells, feed the forest
-    maps. So on row 2 each critical slot is a group of its own, and the other
-    slots of each cell form one group whose members are interchangeable. The
-    walk places the row-1 slots in slot order, each into a group with room,
-    counts the complete placements, and multiplies by the ways to match each
-    group to its slots, |group|!; with ``forced`` slot t goes only into u's
-    group, which then leaves (|group| - 1)! ways.
+    maps: psi1 sends the column of a critical row-1 slot to the column of
+    its partner, psi2 likewise for row 2, and psi1 starts as the arrows. The
+    other slots are spare, and spare slots of one column are interchangeable.
+    So a matching is read off in four steps, and the walk branches only in
+    the first three, where a forest map gets an edge.
 
-    Each placement that adds an edge to psi1 (a critical row-1 slot) or psi2
-    (a critical row-2 slot) is checked with ``_rooted_forest`` on the map so
-    far, with every column whose edge is still to come taken as a root. A
-    column not placed yet may still reach a root, so this rejects only what
-    no completion can fix: a full map rooted at the marks has every partial
-    walk end at a mark or at such a column. psi1 starts as the arrows, so a
-    cycle among them or an arrow into an open empty cell gives 0 before any
-    placement, and at a complete placement no column is pending, so the last
-    check of each map is the full definition.
+    1. The forced pair, if any, is placed first, with the edges it gives.
+    2. Each critical row-1 slot takes the critical slot of an open row-2
+       cell (an edge in both maps) or a spare slot of some column j (an
+       edge in psi1). The n spare slots left in j are n different
+       matchings that give the same edges and leave the same pool, n - 1
+       spare slots in j, so that branch is walked once with weight n.
+    3. Each critical row-2 slot still unmatched takes a spare row-1 slot,
+       weighted the same way: a row-1 slot is critical or spare, and every
+       critical one is matched by now.
+    4. The spare slots left pair up in any of m! ways, m on each side,
+       since neither side feeds a forest map: the walk multiplies by m!.
+
+    Every matching follows exactly one branch, and its weights count the
+    matchings that branch stands for. A column whose edge is still to
+    come is pending. The walk keeps each map rooted at the marks plus its
+    pending columns: that holds for the arrows before the walk (a cycle
+    among them, or an arrow into an empty open cell, gives 0 at once) and
+    for the empty psi2, and ``_stays_rooted`` admits an edge exactly when
+    the map with it still holds it. A branch it stops has no completion to
+    count: with the pending columns taken as roots, more edges cannot mend
+    a cycle or a dead end. At step 4 no column is pending, so the maps are
+    rooted at the marks alone, which is the forest condition.
     """
-    (w1, w2), s = g.w, g.s
-    col1 = _slot_columns(w1)
-    last1 = _rightmost_slots(w1)
-    crit1 = {last1[j]: j for j in open_columns(g, 1) if w1[j]}  # critical slot -> column
-    open2 = set(open_columns(g, 2))
-    groups: list[tuple[int, bool]] = []  # row-2 groups as (column, critical)
-    room: list[int] = []
-    for j, count in enumerate(w2):
-        critical = j in open2 and count > 0
-        if count > critical:
-            groups.append((j, False))
-            room.append(count - critical)
-        if critical:
-            groups.append((j, True))
-            room.append(1)
-    options = [range(len(groups))] * s
-    forced_group = -1
-    if forced is not None:
-        t, u = forced
-        j = _slot_columns(w2)[u]
-        forced_group = groups.index((j, j in open2 and u == _rightmost_slots(w2)[j]))
-        options[t] = (forced_group,)
-    weight = 1
-    for k, size in enumerate(room):
-        weight *= factorial(size - (k == forced_group))
-    # the marks, and the columns whose edge is still to come
-    roots1 = set(g.r1) | set(crit1.values())
-    roots2 = set(g.r2) | {j for j, critical in groups if critical}
-    psi1: dict[int, int] = g.phi
-    psi2: dict[int, int] = {}
+    w1, w2 = g.w
+    K = g.K
+    # the columns whose critical slot is still unmatched, and each column's spare slots
+    crit1 = [j for j in open_columns(g, 1) if w1[j]]
+    crit2 = [j for j in open_columns(g, 2) if w2[j]]
+    spare1, spare2 = list(w1), list(w2)
+    for j in crit1:
+        spare1[j] -= 1
+    for j in crit2:
+        spare2[j] -= 1
+    psi1, roots1 = g.phi, set(g.r1) | set(crit1)
+    psi2, roots2 = {}, set(g.r2) | set(crit2)
     if not _rooted_forest(psi1, roots1):
         return 0
-
-    def walk(t: int) -> int:
-        if t == s:
-            return 1
-        j1 = crit1.get(t)
-        if j1 is not None:
+    if forced is not None:
+        t, u = forced
+        j1, j2 = _slot_columns(w1)[t], _slot_columns(w2)[u]
+        if j1 in crit1 and t == _rightmost_slots(w1)[j1]:
+            if not _stays_rooted(psi1, roots1, j1, j2):
+                return 0
+            psi1[j1] = j2
             roots1.discard(j1)
-        leaves = 0
-        for k in options[t]:
-            if not room[k]:
-                continue
-            j2, critical = groups[k]
-            if j1 is not None:
-                psi1[j1] = j2
-                if not _rooted_forest(psi1, roots1):
-                    continue
-            room[k] -= 1
-            if critical:
-                psi2[j2] = col1[t]
-                roots2.discard(j2)
-            if not critical or _rooted_forest(psi2, roots2):
-                leaves += walk(t + 1)
-            if critical:
-                del psi2[j2]
-                roots2.add(j2)
-            room[k] += 1
-        if j1 is not None:
-            psi1.pop(j1, None)
-            roots1.add(j1)
-        return leaves
+            crit1.remove(j1)
+        else:
+            spare1[j1] -= 1
+        if j2 in crit2 and u == _rightmost_slots(w2)[j2]:
+            if not _stays_rooted(psi2, roots2, j2, j1):
+                return 0
+            psi2[j2] = j1
+            roots2.discard(j2)
+            crit2.remove(j2)
+        else:
+            spare2[j2] -= 1
+    waiting2 = [j in crit2 for j in range(K)]
 
-    return walk(0) * weight
+    def place1(i: int) -> int:
+        # step 2: the critical row-1 slots crit1[i:]
+        if i == len(crit1):
+            rest = [j for j in crit2 if waiting2[j]]
+            return place2(rest, 0) * factorial(sum(spare2))
+        j1 = crit1[i]
+        total = 0
+        for j2 in range(K):
+            n = spare2[j2]
+            if not (n or waiting2[j2]) or not _stays_rooted(psi1, roots1, j1, j2):
+                continue
+            psi1[j1] = j2
+            roots1.discard(j1)
+            if waiting2[j2] and _stays_rooted(psi2, roots2, j2, j1):
+                waiting2[j2] = False
+                psi2[j2] = j1
+                roots2.discard(j2)
+                total += place1(i + 1)
+                roots2.add(j2)
+                del psi2[j2]
+                waiting2[j2] = True
+            if n:
+                spare2[j2] = n - 1
+                total += n * place1(i + 1)
+                spare2[j2] = n
+            roots1.add(j1)
+            del psi1[j1]
+        return total
+
+    def place2(rest: list[int], i: int) -> int:
+        # step 3: the unmatched critical row-2 slots rest[i:]
+        if i == len(rest):
+            return 1
+        j2 = rest[i]
+        total = 0
+        for j1 in range(K):
+            n = spare1[j1]
+            if not n or not _stays_rooted(psi2, roots2, j2, j1):
+                continue
+            psi2[j2] = j1
+            roots2.discard(j2)
+            spare1[j1] = n - 1
+            total += n * place2(rest, i + 1)
+            spare1[j1] = n
+            roots2.add(j2)
+            del psi2[j2]
+        return total
+
+    return place1(0)
 
 
 def gamma_count_brute(g: SubstructureGamma) -> int:

@@ -159,6 +159,10 @@ class CycleCountVector:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # plain ints skip the per-value checks, as in formulas.vertical_count_formula
+        if type(self.d) is not int or not all(type(c) is int for c in self.counts):
+            for x in (self.d, *self.counts):
+                _as_int(x, "d and the counts")
         if len(self.counts) != self.d + 1:
             raise ValueError(f"need d+1 = {self.d + 1} entries, got {len(self.counts)}")
         if any(c < 0 for c in self.counts):
@@ -199,8 +203,12 @@ class BinomialPoly:
     def __post_init__(self) -> None:
         clean = {}
         for k, c in self.coeffs.items():
-            if not isinstance(k, int) or k < 1:
+            if type(k) is not int:
+                _as_int(k, "binomial-basis indices")
+            if k < 1:
                 raise ValueError(f"binomial-basis index must be an int >= 1, got {k!r}")
+            if type(c) is not int:
+                _as_int(c, "binomial-basis coefficients")
             if c != 0:
                 clean[k] = c
         self.coeffs = clean

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,8 @@ from mapenum.arrays import (
     PairedArray,
     SubstructureGamma,
     SubstructureOmega,
+    _rooted_forest,
+    _stays_rooted,
     arrow_cycle,
     check_balance,
     check_forest,
@@ -197,6 +200,30 @@ def test_forest_dead_end_fails():
     arr2 = vertical_array([[2, 0], [1, 1]], {1}, {0, 1}, [0, 1])
     # now column 0 is unmarked: rightmost row-1 vertex pairs into column 1 = root
     assert check_forest(arr2)
+
+
+def test_incremental_root_check_matches_the_full_one():
+    """Placing the edge j -> psi[j] of a pending column j, taken as a root
+    while pending: _stays_rooted on the map without j equals _rooted_forest
+    on the whole map, for every partial map on K <= 4 columns, every root
+    set and every j whose map without it is rooted."""
+    checked = kept = 0
+    for K in range(1, 5):
+        columns = range(K)
+        root_sets = [set(c) for r in range(K + 1) for c in combinations(columns, r)]
+        for values in product([None, *columns], repeat=K):
+            psi = {j: h for j, h in enumerate(values) if h is not None}
+            for roots, j in product(root_sets, psi):
+                if j in roots:
+                    continue
+                rest = {x: h for x, h in psi.items() if x != j}
+                if not _rooted_forest(rest, roots | {j}):
+                    continue
+                expected = _rooted_forest(psi, roots)
+                assert _stays_rooted(rest, roots | {j}, j, psi[j]) == expected
+                checked += 1
+                kept += expected
+    assert 0 < kept < checked
 
 
 def test_check_forest_example(two_row_example):

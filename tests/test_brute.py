@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -383,6 +384,64 @@ def test_gamma_count_matches_checker_based_enumeration():
         into_empty_open_cell += any(h in open1 and not g.w[0][h] for h in g.phi.values())
     assert len(cases) == 3 + 3 + 609 + 854 + 3416  # hand-picked, K = 1, 2, 3 (s = 1, 2)
     assert cyclic and into_empty_open_cell
+
+
+def _random_substructure(rng, K, s):
+    """A substructure drawn like one of _substructures(K, s), without the
+    relabelling: occupancies, mark sets and arrow heads chosen uniformly."""
+    occupancies = list(_compositions(s, K))
+    marks = [frozenset(c) for r in range(1, K + 1) for c in combinations(range(K), r)]
+    r1, r2 = rng.choice(marks), rng.choice(marks)
+    free = [j for j in range(K) if j not in r1]
+    heads = [rng.choice([None, *range(K)]) for _ in free]
+    arrows = tuple((t, h) for t, h in zip(free, heads) if h is not None)
+    return SubstructureGamma((rng.choice(occupancies), rng.choice(occupancies)), r1, r2, arrows)
+
+
+def test_gamma_count_matches_checkers_where_cells_hold_several_slots():
+    """The critical-first walk against the checkers on a seeded sample with
+    K = 3, s = 3 and K = 2, s = 4, unrestricted and with every slot pair
+    forced: open cells there hold a critical slot and spare ones together."""
+    rng = random.Random(0)
+    cases = [_random_substructure(rng, 3, 3) for _ in range(150)]
+    cases += [_random_substructure(rng, 2, 4) for _ in range(150)]
+    shared = 0  # instances with an open cell of several slots and a non-zero count
+    for g in cases:
+        accepted = _accepted_matchings(g)
+        assert gamma_count_brute(g) == len(accepted)
+        for t, v in enumerate(_slot_addresses(g.w[0])):
+            for u, x in enumerate(_slot_addresses(g.w[1])):
+                forced = sum(matching[t] == u for matching in accepted)
+                assert gamma_count_brute_with_pair(g, v, x) == forced
+        several = any(g.w[row - 1][j] > 1 for row in (1, 2) for j in open_columns(g, row))
+        shared += several and bool(accepted)
+    assert shared > 50
+
+
+def test_forced_counts_of_a_row_one_slot_sum_to_the_total(monkeypatch):
+    """Every matching sends row-1 slot v somewhere: on the seed-1 draws of
+    the gamma sweeps, the counts forcing v onto each row-2 slot u add up to
+    the unrestricted count, for every v."""
+    from mapenum import brute, verify
+
+    drawn = []
+    counted = brute.gamma_count_brute
+
+    def record(g):
+        drawn.append(g)
+        return counted(g)
+
+    monkeypatch.setattr(brute, "gamma_count_brute", record)
+    verify.sweep_gamma(40, 1)
+    verify.sweep_gamma_noarrows(40, 1)
+    assert len(drawn) == 80
+    nonzero = 0
+    for g in drawn:
+        total = counted(g)
+        nonzero += total > 0
+        for v in _slot_addresses(g.w[0]):
+            assert sum(gamma_count_brute_with_pair(g, v, u) for u in _slot_addresses(g.w[1])) == total
+    assert nonzero > 40
 
 
 @pytest.mark.parametrize(

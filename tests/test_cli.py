@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from mapenum.cli import build_parser, main
 from mapenum.verify import gs_parameter_tuples
@@ -297,3 +300,89 @@ def test_malformed_spec_exits_2(tmp_path, capsys, command, spec):
         code, out, err = run(capsys, command, "--spec", str(path), "--method", method)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ----------------------------------------------------------------------
+# Fuzzed spec files: every run exits 0 or 2, never with a traceback
+# ----------------------------------------------------------------------
+
+_scalars = st.none() | st.booleans() | st.integers(-1, 3) | st.floats(-1, 3) | st.text(max_size=2)
+# any JSON value, kept small: what a malformed spec may hold in a field
+_json_values = _scalars | st.lists(_scalars, max_size=3) | st.dictionaries(st.text(max_size=2), _scalars, max_size=3)
+
+
+def _tweak(draw, value):
+    """``value`` with one part, down some path of lists and objects, replaced
+    by a scalar."""
+    if isinstance(value, (list, dict)) and value and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(value) if isinstance(value, dict) else range(len(value))))
+        value = value.copy()
+        value[key] = _tweak(draw, value[key])
+        return value
+    return draw(_scalars)
+
+
+def _spoil(draw, spec):
+    """A well-formed ``spec`` kept as it is, one part of it tweaked (three
+    times as often), one field replaced or dropped, or the whole spec replaced."""
+    how = draw(st.sampled_from(["keep", "tweak", "tweak", "tweak", "replace", "drop", "whole"]))
+    key = draw(st.sampled_from(sorted(spec)))
+    if how == "tweak":
+        return _tweak(draw, spec)
+    if how == "replace":
+        return {**spec, key: draw(_json_values)}
+    if how == "drop":
+        return {k: v for k, v in spec.items() if k != key}
+    return draw(_json_values) if how == "whole" else spec
+
+
+@st.composite
+def _gamma_specs(draw):
+    K = draw(st.integers(1, 3))
+    w1 = draw(st.lists(st.integers(0, 2), min_size=K, max_size=K))
+    marks = st.lists(st.integers(0, K - 1), min_size=1, max_size=K, unique=True)
+    r1 = draw(marks)
+    free = [j for j in range(K) if j not in r1]
+    tails = draw(st.lists(st.sampled_from(free), unique=True)) if free else []
+    spec = {
+        "K": K,
+        "w": [w1, list(draw(st.permutations(w1)))],
+        "R1": r1,
+        "R2": draw(marks),
+        "phi": {str(t): draw(st.integers(0, K - 1)) for t in tails},
+    }
+    return _spoil(draw, spec)
+
+
+@st.composite
+def _omega_specs(draw):
+    K = draw(st.integers(1, 3))
+    marks = st.integers(1, K)
+    spec = {
+        "K": K,
+        "R1": draw(marks),
+        "R2": draw(marks),
+        # the brute count walks s! matchings: keep s <= 3 before a tweak
+        "w": draw(st.lists(st.integers(0, 1), min_size=K, max_size=K)),
+    }
+    return _spoil(draw, spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.just("count-gamma"), _gamma_specs()) | st.tuples(st.just("count-omega"), _omega_specs()),
+    st.sampled_from(["formula", "brute"]),
+)
+def test_fuzzed_specs_exit_0_or_2_with_one_error_line(tmp_path_factory, case, method):
+    command, spec = case
+    path = tmp_path_factory.getbasetemp() / "fuzzed-spec.json"
+    path.write_text(json.dumps(spec))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--spec", str(path), "--method", method])
+    event(f"exit {code}")
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue().count("\n") == 1 and int(out.getvalue()) >= 0
+    else:
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

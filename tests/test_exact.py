@@ -134,6 +134,27 @@ def test_cycle_count_vector():
         CycleCountVector(1, (-1, 0))
 
 
+@pytest.mark.parametrize(
+    "d, counts",
+    [(2.0, (1, 0, 2)), (True, (1, 0)), (2, (1.0, 0, 2.5)), (2, (1, False, 2)), (1, (0, 1.5))],
+    ids=["float-d", "bool-d", "float-counts", "bool-count", "float-last-count"],
+)
+def test_cycle_count_vector_needs_integers(d, counts):
+    with pytest.raises(ValueError, match="d and the counts must be integers"):
+        CycleCountVector(d, counts)
+
+
+@pytest.mark.parametrize(
+    "coeffs, what",
+    [({True: 3}, "indices"), ({1.0: 3}, "indices"), ({"1": 3}, "indices"),
+     ({1: 0.5}, "coefficients"), ({2: 3.0}, "coefficients"), ({1: True}, "coefficients")],
+    ids=["bool-index", "float-index", "str-index", "float-coefficient", "integral-float", "bool-coefficient"],
+)
+def test_binomial_poly_needs_integers(coeffs, what):
+    with pytest.raises(ValueError, match=f"binomial-basis {what} must be integers"):
+        BinomialPoly(coeffs)
+
+
 def test_binomial_to_monomial_examples():
     assert BinomialPoly({1: 1}).to_monomial().integer_coeffs() == {1: 1}
     assert BinomialPoly({2: 2}).to_monomial().integer_coeffs() == {2: 1, 1: -1}

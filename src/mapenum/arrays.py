@@ -250,8 +250,6 @@ class SubstructureGamma(_Cells):
         w = _as_occupancy(data["w"])
         if len(w[0]) != data["K"]:
             raise ValueError("K does not match the occupancy width")
-        if not any(w[0] + w[1]):
-            raise ValueError("occupancy must hold at least one vertex")
         return cls.of(w, data["R1"], data["R2"], data["phi"])
 
 

@@ -243,9 +243,15 @@ class MonomialPoly:
     def __post_init__(self) -> None:
         clean = {}
         for deg, c in self.coeffs.items():
-            if not isinstance(deg, int) or deg < 0:
+            # plain ints and Fractions skip the checks, as in BinomialPoly
+            if type(deg) is not int:
+                _as_int(deg, "monomial degrees")
+            if deg < 0:
                 raise ValueError(f"degree must be an int >= 0, got {deg!r}")
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                    raise ValueError(f"monomial coefficients must be ints or Fractions, got {c!r}")
+                c = Fraction(c)
             if c != 0:
                 clean[deg] = c
         self.coeffs = clean

@@ -9,7 +9,9 @@ oracles.
 
 from __future__ import annotations
 
-from math import factorial, perm
+from itertools import accumulate
+from math import comb, factorial, perm
+from operator import mul
 from typing import Callable, Mapping
 
 from .arrays import (
@@ -27,6 +29,11 @@ def _as_count(num: int, den: int, context: str) -> int:
     if quotient < 0:
         raise ArithmeticError(f"{context}: expected a non-negative count, got {quotient}")
     return quotient
+
+
+def _factorials(n: int) -> list[int]:
+    """[0!, 1!, ..., n!]."""
+    return list(accumulate(range(1, n + 1), mul, initial=1))
 
 
 # ----------------------------------------------------------------------
@@ -55,6 +62,17 @@ def gs_series(q1: int, q2: int, s: int) -> BinomialPoly:
     weighted by C(d-i-j, k-1) / (2^(i+j) i! j! (d-i-j)!), so only i + j <= d
     contributes. Over the denominator 2^d d! the reciprocal part of that
     weight is multinomial(i, j, d-i-j) 2^(d-i-j).
+
+    Only the terms that can be non-zero are visited. Write a = q1-i, b = q2-j
+    and r = k-1, so that m = d-i-j = a+b+s. The first product needs a, b >= 0
+    and r >= max(a, b); the second needs r >= max(a, b) + s; C(m, r) needs
+    r <= m. If a or b is negative the first product vanishes, and so does the
+    second, as max(a, b) + s > a+b+s = m. So only i <= q1 and j <= q2
+    contribute, with r from max(a, b). At r = m the bracket is
+    C(m, a) C(m, b) - C(m, b) C(m, a) = 0, since C(m, a+s) = C(m, b) and
+    C(m, b+s) = C(m, a), so r stops below m. Every binomial left has
+    non-negative arguments, and math.comb is 0 for k > n, so it needs no
+    range check.
     """
     q1, q2, s = (_as_int(x, "parameters") for x in (q1, q2, s))
     if s < 1:
@@ -63,16 +81,17 @@ def gs_series(q1: int, q2: int, s: int) -> BinomialPoly:
         raise ValueError("q1 and q2 must be non-negative")
     p1, p2 = 2 * q1 + s, 2 * q2 + s
     d = q1 + q2 + s
+    fact = _factorials(d)
     nums = [0] * (d + 2)
-    for i in range(p1 // 2 + 1):
-        for j in range(min(p2 // 2, d - i) + 1):
-            m = d - i - j
-            weight = multinomial((i, j, m)) * 2**m
-            for k in range(1, m + 2):
-                delta = binomial(k - 1, q1 - i) * binomial(k - 1, q2 - j) - binomial(
-                    k - 1, q1 + s - i
-                ) * binomial(k - 1, q2 + s - j)
-                nums[k] += weight * binomial(m, k - 1) * delta
+    for i in range(q1 + 1):
+        a = q1 - i
+        for j in range(q2 + 1):
+            b = q2 - j
+            m = a + b + s
+            weight = fact[d] // (fact[i] * fact[j] * fact[m]) * 2**m
+            for r in range(max(a, b), m):  # r = k - 1
+                delta = comb(r, a) * comb(r, b) - comb(r, a + s) * comb(r, b + s)
+                nums[r + 1] += weight * comb(m, r) * delta
     lead = factorial(p1) * factorial(p2)
     den = 2**d * factorial(d)
     return BinomialPoly(
@@ -89,7 +108,9 @@ def gs_series_simplified(q1: int, q2: int, s: int) -> BinomialPoly:
     Sums over t1 <= q1+s and t2 <= q2+s with t1 + t2 <= d, contributing to
     C(x, d-t1-t2+1). Over the denominator 2^d d! q1! q2! (q1+s)! (q2+s)! the
     bracket of reciprocal factorials is a difference of products of falling
-    factorials perm(n, t), which are 0 for t > n.
+    factorials perm(n, t), which are 0 for t > n. Every factorial taken,
+    (d-t1)!, (d-t2)! and the multinomial's, has its argument in 0..d, since
+    t1, t2 <= d; they come from one table per call.
     """
     q1, q2, s = (_as_int(x, "parameters") for x in (q1, q2, s))
     if s < 1:
@@ -98,6 +119,7 @@ def gs_series_simplified(q1: int, q2: int, s: int) -> BinomialPoly:
         raise ValueError("q1 and q2 must be non-negative")
     p1, p2 = 2 * q1 + s, 2 * q2 + s
     d = q1 + q2 + s
+    fact = _factorials(d)
     nums = [0] * (d + 2)
     for t1 in range(q1 + s + 1):
         for t2 in range(min(q2 + s, d - t1) + 1):
@@ -105,9 +127,8 @@ def gs_series_simplified(q1: int, q2: int, s: int) -> BinomialPoly:
             if not bracket:
                 continue
             m = d - t1 - t2
-            nums[m + 1] += (
-                factorial(d - t1) * factorial(d - t2) * multinomial((m, t1, t2)) * 2**m * bracket
-            )
+            multi = fact[d] // (fact[m] * fact[t1] * fact[t2])
+            nums[m + 1] += fact[d - t1] * fact[d - t2] * multi * 2**m * bracket
     lead = factorial(p1) * factorial(p2)
     den = 2**d * factorial(d) * factorial(q1) * factorial(q2)
     den *= factorial(q1 + s) * factorial(q2 + s)

@@ -17,3 +17,24 @@ def two_row_example():
     )
     pi = [2, 0, 1, 0, 1, 3, 3, 1, 2, 2, 3, 3, 1, 0, 2, 1]
     return rows, mu, pi
+
+
+@pytest.fixture(scope="session")
+def zero_vertex_lemma_draws():
+    """The distinct substructures with no vertex that sweep_lemmas(300) draws
+    or rewrites at seeds 0-2, recorded in place of the brute count."""
+    from mapenum import brute, verify
+
+    seen = {}
+
+    def record(g, *pair):
+        if g.s == 0:
+            seen[g.to_json()] = g
+        return 0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(brute, "gamma_count_brute", record)
+        mp.setattr(brute, "gamma_count_brute_with_pair", record)
+        for seed in range(3):
+            verify.sweep_lemmas(300, seed)
+    return list(seen.values())

@@ -404,6 +404,14 @@ def test_gamma_json_roundtrip():
     assert SubstructureGamma.from_json(g.to_json()) == g
 
 
+def test_zero_vertex_lemma_draws_roundtrip(zero_vertex_lemma_draws):
+    # the constructor accepts a substructure with no vertex, so from_json must too
+    assert len(zero_vertex_lemma_draws) >= 2
+    assert any(g.arrows for g in zero_vertex_lemma_draws)
+    for g in zero_vertex_lemma_draws:
+        assert SubstructureGamma.from_json(g.to_json()) == g
+
+
 def test_omega_json_roundtrip():
     o = SubstructureOmega(3, 1, 2, (2, 0, 1))
     payload = json.loads(o.to_json())

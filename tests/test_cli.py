@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -61,6 +62,28 @@ def test_gs_methods_agree_bytewise(capsys):
                 assert code == 0
                 outputs.add(out)
             assert len(outputs) == 1, (q1, q2, s, options)
+
+
+def _cli_scale_gs_tuples(count=30, seed=15):
+    """A seeded sample of (q1, q2, s) with 12 <= d <= 30, past brute force's reach."""
+    rng = random.Random(seed)
+    tuples = []
+    for _ in range(count):
+        d = rng.randint(12, 30)
+        s = rng.randint(1, d)
+        q1 = rng.randint(0, d - s)
+        tuples.append((q1, d - s - q1, s))
+    return tuples
+
+
+def test_gs_formula_and_simplified_agree_at_cli_scale(capsys):
+    for q1, q2, s in _cli_scale_gs_tuples():
+        for options in OUTPUT_OPTIONS:
+            base = ["gs", "--q1", str(q1), "--q2", str(q2), "--s", str(s), *options]
+            formula = run(capsys, *base, "--method", "formula")
+            simplified = run(capsys, *base, "--method", "simplified")
+            assert formula[0] == 0 and formula[2] == ""
+            assert formula == simplified, (q1, q2, s, options)
 
 
 def test_gs_csv_format(capsys):
@@ -290,7 +313,6 @@ def test_output_is_deterministic(capsys):
         ("count-gamma", {"K": 2, "w": [[1, 1], [1, 1]], "R1": [1], "R2": [1], "phi": {" +0 ": 1}}),
         ("count-gamma", {"K": 2, "w": [[1, 1], [1, 1]], "R1": [1], "R2": [1], "phi": {"0_0": 1}}),
         ("count-gamma", {"K": 2, "w": [[1, 1], [1, 1]], "R1": [1], "R2": [1], "phi": {"\u0660": 1}}),
-        ("count-gamma", {"K": 2, "w": [[0, 0], [0, 0]], "R1": [0], "R2": [1], "phi": {}}),
     ],
 )
 def test_malformed_spec_exits_2(tmp_path, capsys, command, spec):
@@ -300,6 +322,22 @@ def test_malformed_spec_exits_2(tmp_path, capsys, command, spec):
         code, out, err = run(capsys, command, "--spec", str(path), "--method", method)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_count_gamma_on_zero_vertex_lemma_draws(tmp_path, capsys, zero_vertex_lemma_draws):
+    # brute counts any substructure; the closed form needs a vertex per row,
+    # unless the arrows form a cycle, and otherwise says so on one line
+    path = tmp_path / "spec.json"
+    for g in zero_vertex_lemma_draws:
+        path.write_text(g.to_json())
+        code, out, err = run(capsys, "count-gamma", "--spec", str(path), "--method", "brute")
+        assert (code, err) == (0, "") and int(out) >= 0 and out.count("\n") == 1, g
+        code, out, err = run(capsys, "count-gamma", "--spec", str(path), "--method", "formula")
+        if code == 0:
+            assert err == "" and int(out) >= 0 and out.count("\n") == 1, g
+        else:
+            assert (code, out) == (2, ""), g
+            assert err.startswith("error: ") and err.count("\n") == 1, g
 
 
 # ----------------------------------------------------------------------

@@ -155,6 +155,28 @@ def test_binomial_poly_needs_integers(coeffs, what):
         BinomialPoly(coeffs)
 
 
+@pytest.mark.parametrize(
+    "coeffs, what",
+    [({True: 1}, "monomial degrees must be integers"), ({1.0: 1}, "monomial degrees must be integers"),
+     ({"1": 1}, "monomial degrees must be integers"),
+     ({1: 0.1}, "monomial coefficients must be ints or Fractions"),
+     ({2: 3.0}, "monomial coefficients must be ints or Fractions"),
+     ({1: True}, "monomial coefficients must be ints or Fractions"),
+     ({1: "1/2"}, "monomial coefficients must be ints or Fractions"),
+     ({True: 0.1}, "monomial degrees must be integers")],
+    ids=["bool-degree", "float-degree", "str-degree", "float-coefficient", "integral-float",
+         "bool-coefficient", "str-coefficient", "bool-degree-float-coefficient"],
+)
+def test_monomial_poly_needs_exact_values(coeffs, what):
+    with pytest.raises(ValueError, match=what):
+        MonomialPoly(coeffs)
+
+
+def test_monomial_poly_keeps_ints_and_fractions():
+    assert MonomialPoly({0: 3, 2: Fraction(-1, 2)}).coeffs == {0: Fraction(3), 2: Fraction(-1, 2)}
+    assert all(type(c) is Fraction for c in MonomialPoly({0: 3, 1: Fraction(2)}).coeffs.values())
+
+
 def test_binomial_to_monomial_examples():
     assert BinomialPoly({1: 1}).to_monomial().integer_coeffs() == {1: 1}
     assert BinomialPoly({2: 2}).to_monomial().integer_coeffs() == {2: 1, 1: -1}

@@ -13,7 +13,7 @@ from mapenum.brute import (
     paired_surjection_count_brute,
     vertical_array_count_brute,
 )
-from mapenum.exact import BinomialPoly, CycleCountVector
+from mapenum.exact import BinomialPoly, CycleCountVector, binomial, multinomial
 from mapenum.formulas import (
     _as_count,
     canonical_from_vertical,
@@ -27,6 +27,7 @@ from mapenum.formulas import (
     series_from_surjections,
     vertical_count_formula,
 )
+from mapenum.verify import gs_parameter_tuples
 
 
 def test_as_count_returns_the_exact_quotient():
@@ -104,6 +105,41 @@ def test_gs_simplified_matches_full_form():
                 assert gs_series(q1, q2, s) == gs_series_simplified(q1, q2, s)
     assert gs_series_simplified(0, 0, 1).to_monomial().integer_coeffs() == {1: 1}
     assert gs_series_simplified(0, 0, 2).to_monomial().integer_coeffs() == {2: 2}
+
+
+def _gs_triple_sum(q1, q2, s):
+    """The Goulden-Slofstra triple sum term by term, as displayed: every
+    i <= p1/2, j <= p2/2 and k = 1..d+1, each binomial with the
+    zero-outside-range convention; a term with i + j > d has a negative
+    multinomial part and weight 0."""
+    p1, p2 = 2 * q1 + s, 2 * q2 + s
+    d = q1 + q2 + s
+    nums = [0] * (d + 2)
+    for i in range(p1 // 2 + 1):
+        for j in range(p2 // 2 + 1):
+            m = d - i - j
+            weight = multinomial((i, j, m))
+            if not weight:
+                continue
+            for k in range(1, d + 2):
+                bracket = binomial(k - 1, q1 - i) * binomial(k - 1, q2 - j) - binomial(
+                    k - 1, q1 + s - i
+                ) * binomial(k - 1, q2 + s - j)
+                nums[k] += weight * 2**m * binomial(m, k - 1) * bracket
+    return BinomialPoly(
+        {k: _as_count(factorial(p1) * factorial(p2) * nums[k], 2**d * factorial(d), "reference")
+         for k in range(1, d + 2)}
+    )
+
+
+def test_gs_series_matches_the_literal_triple_sum():
+    for q1, q2, s in gs_parameter_tuples(14):
+        assert gs_series(q1, q2, s) == _gs_triple_sum(q1, q2, s), (q1, q2, s)
+
+
+def test_gs_series_matches_simplified_to_d16():
+    for q1, q2, s in gs_parameter_tuples(16):
+        assert gs_series(q1, q2, s) == gs_series_simplified(q1, q2, s), (q1, q2, s)
 
 
 def test_series_from_surjections():

@@ -425,12 +425,14 @@ def critical_vertices(g: ArrayLike) -> set[tuple[int, int]]:
 
 
 def is_irreducible(g: SubstructureGamma) -> bool:
-    """Arrow digraph acyclic, and every arrow-head column unmarked and tail-free."""
+    """Arrow digraph acyclic, and every arrow-head column unmarked and tail-free.
+
+    The head test alone decides it. A cycle t -> ... -> t of the arrows,
+    a self-loop t -> t included, has a head that is also a tail, and once
+    no head carries a tail no two arrows chain, so the digraph is acyclic.
+    """
     phi = g.phi
-    for head in phi.values():
-        if head in g.r1 or head in phi:
-            return False
-    return not arrow_cycle(phi)
+    return not any(head in g.r1 or head in phi for head in phi.values())
 
 
 def arrow_cycle(phi: Mapping[int, int]) -> tuple[int, ...]:

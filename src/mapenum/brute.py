@@ -8,9 +8,9 @@ scale (at most a few pairs per row) and serve as ground truth everywhere.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations, product
-from math import factorial
-from operator import ge
+from itertools import accumulate, combinations, groupby, permutations, product
+from math import factorial, prod
+from operator import ge, itemgetter
 from typing import Iterator
 
 from .arrays import (
@@ -450,15 +450,55 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
+_ColumnTypes = tuple[tuple[int, ...], ...]  # one count per row for each column
+
+
+def _column_orbits(K: int, totals: tuple[int, ...]) -> Iterator[tuple[_ColumnTypes, int]]:
+    """Orbits of K-tuples of column types under permutations of the K columns.
+
+    A column type holds one count per row, and the K types add up to
+    ``totals`` row by row. Each orbit is yielded once, as its non-decreasing
+    representative (types compared as tuples) with its size K!/prod(m!),
+    m running over the multiplicities of the distinct types. Each type is
+    drawn from the totals still left and is no smaller than the one before,
+    so each column still to fill takes at least its first count: a type
+    whose first count times those columns exceeds the first total left
+    ends the scan at that depth.
+    """
+
+    def fill(k: int, left: tuple[int, ...], low: tuple[int, ...]) -> Iterator[_ColumnTypes]:
+        if k == 1:
+            if left >= low:
+                yield (left,)
+            return
+        for kind in product(*(range(n + 1) for n in left)):
+            if kind[0] * k > left[0]:
+                return  # every later type has a larger first count
+            if kind >= low:
+                rest = tuple(n - x for n, x in zip(left, kind))
+                for tail in fill(k - 1, rest, kind):
+                    yield (kind,) + tail
+
+    for rep in fill(K, tuple(totals), (0,) * len(totals)):
+        yield rep, factorial(K) // prod(factorial(len(list(run))) for _, run in groupby(rep))
+
+
 def vertical_array_count_brute(K: int, R1: int, R2: int, s: int) -> int:
-    """Proper vertical arrays: occupancies, mark subsets, and slot matchings."""
+    """Proper vertical arrays: occupancies, mark subsets, and slot matchings.
+
+    ``omega_count_brute`` takes the same value on occupancies that differ by
+    a permutation of the columns (see ``canonical_array_count_brute``; its
+    mark sets are every R-set, which the permutation permutes), so it runs
+    once per column orbit of occupancies, weighted by the orbit's size.
+    """
     K, R1, R2, s = (_as_int(x, "parameters") for x in (K, R1, R2, s))
     if K < 1 or R1 < 1 or R2 < 1 or s < 1:
         raise ValueError("need K, R1, R2, s >= 1")
     if R1 > K or R2 > K:
         return 0
     return sum(
-        omega_count_brute(SubstructureOmega(K, R1, R2, w)) for w in _compositions(s, K)
+        size * omega_count_brute(SubstructureOmega(K, R1, R2, tuple(n for (n,) in rep)))
+        for rep, size in _column_orbits(K, (s,))
     )
 
 
@@ -471,74 +511,62 @@ def vertical_array_count_brute(K: int, R1: int, R2: int, s: int) -> int:
 def canonical_array_count_brute(K: int, q1: int, q2: int, s: int) -> int:
     """Proper paired arrays with a single marked column per row.
 
-    Runs over occupancy pairs (w1, w2) and, for each, over the pairings that
-    balance it. Whether a pairing balances (w1, w2) depends only on the set
-    X of row-1 slots it pairs across and the set Y of row-2 slots they land
-    on: it does when X has as many slots in each column under w1 as Y has
-    under w2. So the pairings are grouped by (X, Y), each row's sets are
-    indexed by that column profile, and only the groups of matching profiles
-    are visited.
+    Runs over the occupancy pairs (w1, w2) and, for each, over the pairings
+    of its p1 + p2 slots with s mixed pairs. A pairing is kept when it
+    balances (w1, w2): each column holds as many mixed slots in row 1 as in
+    row 2. It then adds (single marks rooting psi1) * (single marks rooting
+    psi2), from the mark-set step ``_rooting_marks`` shared with
+    ``omega_count_brute``.
 
-    Occupancy pairs that leave a column j with no vertex in either row are
-    skipped, because no array on them passes all the checks. Canonical
-    arrays have no arrows, so the non-empty condition needs j marked in row
-    1 or row 2. But no forest edge enters j: every forest map value is the
-    column of some slot, and j holds none. The row whose single mark is j
-    has a vertex in some column (p_i >= s >= 1), and the walk from there
+    The count on (w1, w2) is the count on (sigma w1, sigma w2) for every
+    permutation sigma of the K columns; in the paper's terms sigma permutes
+    the K values of a paired surjection. Slots are numbered row by row and
+    column by column, so sigma moves the slots of each cell as one block and
+    keeps their order inside it: a slot bijection between the two occupancy
+    pairs. It sends a pairing to a pairing with as many mixed pairs, a
+    rightmost slot of a cell to the rightmost slot of the image cell, and a
+    mixed slot of column j to one of column sigma(j), so balance is kept.
+    The forest map of each row becomes sigma psi sigma^-1, whose walks are
+    those of psi with columns renamed, so it is rooted at {sigma(j)} exactly
+    when psi is rooted at {j}; a column with no vertex in either row moves
+    to one with none. So the arrays counted on one pair map one to one onto
+    those on the other, and the loop visits one pair per column orbit: the
+    representative from ``_column_orbits``, weighted by the orbit's size.
+    The weights count occupancy pairs, not arrays, and take nothing from a
+    closed form.
+
+    Orbits with a column that has no vertex in either row are skipped,
+    because no array on them passes all the checks. Canonical arrays have
+    no arrows, so the non-empty condition needs such a column j marked in
+    row 1 or row 2. But no forest edge enters j: every forest map value is
+    the column of some slot, and j holds none. The row whose single mark is
+    j has a vertex in some column (p_i >= s >= 1), and the walk from there
     never reaches j, so it ends in a cycle or at an empty cell of that row:
     j roots neither row. With no vertex-free column left the non-empty
-    condition always holds, so each balanced candidate adds (single marks
-    rooting psi1) * (single marks rooting psi2), from the mark-set step
-    ``_rooting_marks`` shared with ``omega_count_brute``.
+    condition always holds.
     """
     K, q1, q2, s = (_as_int(x, "parameters") for x in (K, q1, q2, s))
     if K < 1 or s < 1 or q1 < 0 or q2 < 0:
         raise ValueError("need K >= 1, s >= 1, q1, q2 >= 0")
     p1, p2 = 2 * q1 + s, 2 * q2 + s
-    # pairings grouped by mixed slots (X, Y): X in row-1 ids, Y in row-2 ids
-    groups: dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[int, ...]]] = {}
+    # each pairing with getters of its mixed slots in row 1 and in row 2, both ascending
+    pairings = []
     for partner in _pairing_classes((p1, p2))[s]:
-        mixed1 = tuple(x for x in range(p1) if partner[x] >= p1)
-        mixed2 = tuple(sorted(partner[x] - p1 for x in mixed1))
-        groups.setdefault((mixed1, mixed2), []).append(partner)
-    sets1 = list(combinations(range(p1), s))
-    sets2 = list(combinations(range(p2), s))
-
-    def by_profile(
-        sets: list[tuple[int, ...]], col: list[int]
-    ) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-        # the slot sets keyed by their number of slots in each column
-        index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for slots in sets:
-            profile = [0] * K
-            for t in slots:
-                profile[col[t]] += 1
-            index.setdefault(tuple(profile), []).append(slots)
-        return index
-
-    # per w2: empty columns, columns, rightmost slots (global ids p1..p1+p2-1), profiles
-    layouts2 = []
-    for w2 in _compositions(p2, K):
-        col2 = _slot_columns(w2)
-        index2 = by_profile(sets2, col2)
-        layouts2.append((_empty_columns(w2), col2, _rightmost_slots(w2, p1), index2))
+        mixed1 = [x for x in range(p1) if partner[x] >= p1]
+        mixed2 = sorted(partner[x] for x in mixed1)
+        pairings.append((partner, itemgetter(*mixed1), itemgetter(*mixed2)))
     total = 0
-    for w1 in _compositions(p1, K):
-        empty1 = _empty_columns(w1)
-        # the w2 with a vertex in every column w1 leaves empty
-        covering = [layout for layout in layouts2 if not empty1 & layout[0]]
-        if not covering:
+    for rep, size in _column_orbits(K, (p1, p2)):
+        if (0, 0) in rep:
             continue
-        col1 = _slot_columns(w1)
-        rm1 = _rightmost_slots(w1)
-        index1 = by_profile(sets1, col1)
-        for _, col2, rm2, index2 in covering:
-            col = col1 + col2
-            # balance: as many mixed slots per column in each row
-            for profile in index1.keys() & index2.keys():
-                for mixed1, mixed2 in product(index1[profile], index2[profile]):
-                    for partner in groups[mixed1, mixed2]:
-                        psi1 = tuple(col[partner[t]] if t >= 0 else -1 for t in rm1)
-                        psi2 = tuple(col[partner[t]] if t >= 0 else -1 for t in rm2)
-                        total += len(_rooting_marks(psi1, 1)) * len(_rooting_marks(psi2, 1))
+        w1, w2 = zip(*rep)
+        col = _slot_columns(w1) + _slot_columns(w2)
+        rm1, rm2 = _rightmost_slots(w1), _rightmost_slots(w2, p1)
+        for partner, mixed1, mixed2 in pairings:
+            # balance: a row's columns ascend with its slots, so equal column
+            # sequences of the mixed slots mean as many per column in each row
+            if mixed1(col) == mixed2(col):
+                psi1 = tuple(col[partner[t]] if t >= 0 else -1 for t in rm1)
+                psi2 = tuple(col[partner[t]] if t >= 0 else -1 for t in rm2)
+                total += size * len(_rooting_marks(psi1, 1)) * len(_rooting_marks(psi2, 1))
     return total

@@ -54,17 +54,22 @@ def _emit_genus_table(table: dict[int, int], fmt: str) -> None:
             print(f"{g},{table[g]}")
 
 
+def _emit_counts(counts: CycleCountVector, vertices: int, args: argparse.Namespace) -> int:
+    """The genus table of a map count with ``vertices`` vertices, or its series."""
+    if args.by_genus:
+        _emit_genus_table(genus_counts(counts, vertices), args.format)
+    else:
+        _emit_series(counts, args.format)
+    return 0
+
+
 def _cmd_hz(args: argparse.Namespace) -> int:
     if args.method == "brute":
         counts = brute.hz_counts_brute(args.q)
     else:
         poly = hz_series(args.q).to_monomial()
         counts = CycleCountVector.from_tally(args.q, poly.integer_coeffs())
-    if args.by_genus:
-        _emit_genus_table(genus_counts(counts, 1), args.format)
-    else:
-        _emit_series(counts, args.format)
-    return 0
+    return _emit_counts(counts, 1, args)
 
 
 def _cmd_gs(args: argparse.Namespace) -> int:
@@ -75,11 +80,7 @@ def _cmd_gs(args: argparse.Namespace) -> int:
         series = gs_series_simplified if args.method == "simplified" else gs_series
         poly = series(args.q1, args.q2, args.s).to_monomial()
         counts = CycleCountVector.from_tally(d, poly.integer_coeffs())
-    if args.by_genus:
-        _emit_genus_table(genus_counts(counts, 2), args.format)
-    else:
-        _emit_series(counts, args.format)
-    return 0
+    return _emit_counts(counts, 2, args)
 
 
 def _cmd_vertical(args: argparse.Namespace) -> int:

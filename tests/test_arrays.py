@@ -310,6 +310,19 @@ def test_is_irreducible():
     assert is_irreducible(fine)
 
 
+def test_head_test_leaves_no_arrow_cycle():
+    # is_irreducible checks heads only: no arrow map whose heads carry no
+    # tail has a cycle, checked on every map with K <= 4
+    passed = 0
+    for K in range(1, 5):
+        for image in product(range(-1, K), repeat=K):
+            phi = {t: h for t, h in enumerate(image) if h >= 0}
+            if not any(h in phi for h in phi.values()):
+                passed += 1
+                assert arrow_cycle(phi) == ()
+    assert passed == 55
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(st.integers(0, 5), st.integers(0, 5), max_size=6))
 def test_arrow_cycle_is_a_cycle_and_empty_only_when_acyclic(phi):

@@ -1,6 +1,8 @@
+import functools
 import random
+from collections import Counter
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +21,7 @@ from mapenum.arrays import (
     open_columns,
 )
 from mapenum.brute import (
+    _column_orbits,
     _compositions,
     _pairing_tally,
     _surjections,
@@ -579,11 +582,20 @@ def test_canonical_matches_checker_based_enumeration():
 
 def _naive_canonical(K, q1, q2, s):
     """The count, and the numbers of vertex-free columns among balanced forest arrays."""
+    by_occupancy, uncovered = _naive_canonical_by_occupancy(K, q1, q2, s)
+    return sum(by_occupancy.values()), uncovered
+
+
+@functools.cache
+def _naive_canonical_by_occupancy(K, q1, q2, s):
+    """The count on each occupancy pair (w1, w2), and the numbers of
+    vertex-free columns among balanced forest arrays."""
     p1, p2 = 2 * q1 + s, 2 * q2 + s
-    count = 0
+    by_occupancy = {}
     uncovered = set()
     for w1 in _compositions(p1, K):
         for w2 in _compositions(p2, K):
+            count = 0
             for j1 in range(K):
                 for j2 in range(K):
                     for pairing in _slot_pairings(w1, w2, s):
@@ -594,7 +606,23 @@ def _naive_canonical(K, q1, q2, s):
                             proper = check_nonempty(arr)
                             assert not (proper and free), (w1, w2, j1, j2, pairing)
                             count += proper
-    return count, uncovered
+            by_occupancy[w1, w2] = count
+    return by_occupancy, uncovered
+
+
+@pytest.mark.parametrize("K, q1, q2, s", [
+    (1, 0, 0, 1), (2, 0, 0, 2), (1, 1, 0, 1), (2, 1, 0, 1), (3, 0, 0, 2),
+    (2, 0, 1, 1), (3, 1, 1, 1), (2, 1, 1, 2), (2, 2, 1, 1), (3, 1, 0, 2),
+])
+def test_canonical_checker_count_is_column_symmetric(K, q1, q2, s):
+    """The checker count on (w1, w2) equals that on (sigma w1, sigma w2) for
+    every permutation sigma of the columns, which lets the canonical oracle
+    count one occupancy pair per column orbit."""
+    by_occupancy, _ = _naive_canonical_by_occupancy(K, q1, q2, s)
+    for (w1, w2), count in by_occupancy.items():
+        for sigma in permutations(range(K)):
+            image = (tuple(w1[j] for j in sigma), tuple(w2[j] for j in sigma))
+            assert by_occupancy[image] == count, (w1, w2, sigma)
 
 
 def _slot_pairings(w1, w2, s):
@@ -628,6 +656,23 @@ def _pairings_of(elements):
         remaining = rest[:i] + rest[i + 1 :]
         for sub in _pairings_of(remaining):
             yield [(first, other)] + sub
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_column_orbits_cover_every_tuple_once(K):
+    """Each orbit's size counts the K-tuples that sort to its representative,
+    and the representatives are distinct and non-decreasing."""
+    totals = [(s,) for s in range(7)] + list(product(range(6), repeat=2))
+    for total in totals:
+        orbits = list(_column_orbits(K, total))
+        reps = [rep for rep, _ in orbits]
+        assert len(set(reps)) == len(reps)
+        assert all(list(rep) == sorted(rep) for rep in reps)
+        tuples = Counter(
+            tuple(sorted(zip(*rows))) for rows in product(*(_compositions(n, K) for n in total))
+        )
+        assert dict(orbits) == tuples
+        assert sum(size for _, size in orbits) == prod(binomial(n + K - 1, K - 1) for n in total)
 
 
 @pytest.mark.parametrize("K, q1, q2, s", [(5, 1, 1, 3), (6, 2, 2, 1), (6, 1, 1, 3)])

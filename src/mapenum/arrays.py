@@ -55,6 +55,14 @@ def _as_marks(marks, K: int, label: str) -> frozenset[int]:
     return marks
 
 
+def _as_column(j, K: int, name: str) -> int:
+    """``j`` itself if it is an integer column index in 0..K-1."""
+    j = _as_int(j, "columns")
+    if not 0 <= j < K:
+        raise ValueError(f"column {name}={j} is outside 0..{K - 1}")
+    return j
+
+
 def _as_tail(t) -> int:
     # JSON object keys are strings: only plain ASCII decimal ones name a column
     if isinstance(t, str):
@@ -102,11 +110,6 @@ def _rightmost_slots(w: Sequence[int], base: int = 0) -> list[int]:
         base += count
         rightmost.append(base - 1 if count else -1)
     return rightmost
-
-
-def _empty_columns(w: Sequence[int]) -> int:
-    """Bitmask of the columns of a row with occupancy ``w`` that hold no slot."""
-    return sum(1 << j for j, count in enumerate(w) if count == 0)
 
 
 class _Cells:
@@ -522,8 +525,8 @@ def classify_columns(g: SubstructureGamma) -> ColumnTally:
 
 def permute_columns(g: SubstructureGamma, perm: Iterable[int]) -> SubstructureGamma:
     """Relabel columns by ``perm`` (new index of each old column)."""
-    perm = list(perm)
     K = g.K
+    perm = [_as_column(j, K, "perm entry") for j in perm]
     if sorted(perm) != list(range(K)):
         raise ValueError("perm must be a permutation of 0..K-1")
     w1 = [0] * K

@@ -8,7 +8,7 @@ scale (at most a few pairs per row) and serve as ground truth everywhere.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations, groupby, permutations, product
+from itertools import accumulate, combinations, groupby, product
 from math import factorial, prod
 from operator import ge, itemgetter
 from typing import Iterator
@@ -16,7 +16,6 @@ from typing import Iterator
 from .arrays import (
     SubstructureGamma,
     SubstructureOmega,
-    _empty_columns,
     _rightmost_slots,
     _rooted_forest,
     _slot_columns,
@@ -244,23 +243,15 @@ def paired_surjection_count_brute(K: int, q1: int, q2: int, s: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _rooting_marks(psi: tuple[int, ...], R: int) -> tuple[int, ...]:
-    """Bitmasks of the R-sets of columns that root the forest map ``psi``.
+def _rooting_columns(psi: tuple[int, ...]) -> int:
+    """Number of columns j such that the single mark {j} roots the forest map ``psi``.
 
     psi[j] is the column of the partner of cell j's rightmost slot (-1 if
     the cell is empty). Marking a column takes it out of the forest map,
     which changes nothing here: the walk stops at a root before following it.
-    ``omega_count_brute`` pairs the sets of the two rows and keeps those
-    whose union covers every column without vertices (non-empty);
-    ``canonical_array_count_brute`` only ever has such columns covered, so
-    it multiplies the two rows' numbers of sets with R = 1.
     """
     full = {j: v for j, v in enumerate(psi) if v >= 0}
-    return tuple(
-        sum(1 << j for j in marks)
-        for marks in combinations(range(len(psi)), R)
-        if _rooted_forest(full, set(marks))
-    )
+    return sum(1 for j in range(len(psi)) if _rooted_forest(full, {j}))
 
 
 def _count_forest_matchings(g: SubstructureGamma, forced: tuple[int, int] | None = None) -> int:
@@ -410,30 +401,41 @@ def _flat_slot(w: tuple[int, ...], address: tuple[int, int], label: str, row: in
     return sum(w[:col]) + idx
 
 
-@lru_cache(maxsize=None)
 def omega_count_brute(o: SubstructureOmega) -> int:
     """Proper vertical arrays with the given balanced occupancy.
 
-    Walks the s! slot matchings once. For each, counts the pairs of an
-    R1-set and an R2-set of marks (``_rooting_marks``) that root both forest
-    maps and cover every column without vertices (non-empty); balance holds
-    by construction.
+    Every array on (w, w) is balanced. Fixing its marks, an R1-set r1 and an
+    R2-set r2 of the columns, leaves a substructure whose arrays are the
+    slot matchings with both forest maps rooted at the marks, which
+    ``_count_forest_matchings`` counts. Such an array is non-empty exactly
+    when r1 and r2 together cover every column without vertices. So the
+    count is the sum of the substructure counts over the covering mark sets.
+
+    The count is the same on sigma w for every permutation sigma of the K
+    columns, so it is taken, and cached, once on the sorted occupancy. Slots
+    are numbered column by column, so sigma moves the slots of each cell as
+    one block and keeps their order: a bijection of the slots of w onto
+    those of sigma w. It sends a matching to a matching and the rightmost
+    slot of a cell to the rightmost slot of the image cell, so each forest
+    map psi becomes sigma psi sigma^-1, whose walks are those of psi with
+    columns renamed: it is rooted at sigma(r) exactly when psi is rooted at
+    r. Mark sets go to mark sets of the same sizes, and the columns without
+    vertices of w go to those of sigma w, so covering is kept. The arrays on
+    (w; r1, r2) thus map one to one onto those on (sigma w; sigma r1, sigma r2).
     """
-    col = _slot_columns(o.w)
-    rm = _rightmost_slots(o.w)
-    missing = _empty_columns(o.w)
-    inv = [0] * o.s
-    total = 0
-    for perm in permutations(range(o.s)):
-        for t, u in enumerate(perm):
-            inv[u] = t
-        psi1 = tuple(col[perm[t]] if t >= 0 else -1 for t in rm)
-        psi2 = tuple(col[inv[u]] if u >= 0 else -1 for u in rm)
-        good2 = _rooting_marks(psi2, o.r2)
-        total += sum(
-            1 for m1 in _rooting_marks(psi1, o.r1) for m2 in good2 if not missing & ~(m1 | m2)
-        )
-    return total
+    return _sorted_omega_count(o.K, o.r1, o.r2, tuple(sorted(o.w)))
+
+
+@lru_cache(maxsize=None)
+def _sorted_omega_count(K: int, R1: int, R2: int, w: tuple[int, ...]) -> int:
+    """``omega_count_brute`` on a sorted occupancy ``w``."""
+    empty = {j for j, count in enumerate(w) if count == 0}
+    return sum(
+        _count_forest_matchings(SubstructureGamma((w, w), r1, r2))
+        for r1 in combinations(range(K), R1)
+        for r2 in combinations(range(K), R2)
+        if empty <= {*r1, *r2}
+    )
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -484,22 +486,14 @@ def _column_orbits(K: int, totals: tuple[int, ...]) -> Iterator[tuple[_ColumnTyp
 
 
 def vertical_array_count_brute(K: int, R1: int, R2: int, s: int) -> int:
-    """Proper vertical arrays: occupancies, mark subsets, and slot matchings.
-
-    ``omega_count_brute`` takes the same value on occupancies that differ by
-    a permutation of the columns (see ``canonical_array_count_brute``; its
-    mark sets are every R-set, which the permutation permutes), so it runs
-    once per column orbit of occupancies, weighted by the orbit's size.
-    """
+    """Proper vertical arrays: ``omega_count_brute`` summed over every
+    occupancy of s vertices in K columns."""
     K, R1, R2, s = (_as_int(x, "parameters") for x in (K, R1, R2, s))
     if K < 1 or R1 < 1 or R2 < 1 or s < 1:
         raise ValueError("need K, R1, R2, s >= 1")
     if R1 > K or R2 > K:
         return 0
-    return sum(
-        size * omega_count_brute(SubstructureOmega(K, R1, R2, tuple(n for (n,) in rep)))
-        for rep, size in _column_orbits(K, (s,))
-    )
+    return sum(omega_count_brute(SubstructureOmega(K, R1, R2, w)) for w in _compositions(s, K))
 
 
 # ----------------------------------------------------------------------
@@ -515,8 +509,7 @@ def canonical_array_count_brute(K: int, q1: int, q2: int, s: int) -> int:
     of its p1 + p2 slots with s mixed pairs. A pairing is kept when it
     balances (w1, w2): each column holds as many mixed slots in row 1 as in
     row 2. It then adds (single marks rooting psi1) * (single marks rooting
-    psi2), from the mark-set step ``_rooting_marks`` shared with
-    ``omega_count_brute``.
+    psi2), each from ``_rooting_columns``.
 
     The count on (w1, w2) is the count on (sigma w1, sigma w2) for every
     permutation sigma of the K columns; in the paper's terms sigma permutes
@@ -568,5 +561,5 @@ def canonical_array_count_brute(K: int, q1: int, q2: int, s: int) -> int:
             if mixed1(col) == mixed2(col):
                 psi1 = tuple(col[partner[t]] if t >= 0 else -1 for t in rm1)
                 psi2 = tuple(col[partner[t]] if t >= 0 else -1 for t in rm2)
-                total += size * len(_rooting_marks(psi1, 1)) * len(_rooting_marks(psi2, 1))
+                total += size * _rooting_columns(psi1) * _rooting_columns(psi2)
     return total

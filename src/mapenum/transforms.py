@@ -13,6 +13,7 @@ from typing import Sequence, Union
 from .arrays import (
     PairedArray,
     SubstructureGamma,
+    _as_column,
     arrow_cycle,
     check_full,
     critical_vertices,
@@ -35,6 +36,7 @@ def arrow_simplify_to_mark(g: SubstructureGamma, X: int) -> SubstructureGamma:
     Requires phi(X) to exist and point at a column marked in row 1; X leaves
     the arrow map and joins the row-1 marks. Array counts are unchanged.
     """
+    X = _as_column(X, g.K, "X")
     phi = g.phi
     if X not in phi:
         raise ValueError(f"column {X} carries no arrow")
@@ -49,6 +51,7 @@ def arrow_simplify_retarget(g: SubstructureGamma, X: int) -> SubstructureGamma:
 
     Requires phi(X) and phi(phi(X)) to exist. Array counts are unchanged.
     """
+    X = _as_column(X, g.K, "X")
     phi = g.phi
     if X not in phi:
         raise ValueError(f"column {X} carries no arrow")
@@ -93,6 +96,7 @@ def column_pointing(g: SubstructureGamma, X: int, Y: int) -> SubstructureGamma:
     least two row-2 vertices. One vertex leaves each of the two cells and
     X gains an arrow to Y; the restricted array count is preserved.
     """
+    X, Y = _as_column(X, g.K, "X"), _as_column(Y, g.K, "Y")
     if X == Y:
         raise ValueError("column pointing needs two distinct columns")
     w1, w2 = g.w
@@ -125,6 +129,7 @@ def column_merging(g: SubstructureGamma, X: int, Y: int) -> SubstructureGamma:
     into Y are redirected into X. The restricted array count is preserved
     and the result is again full.
     """
+    X, Y = _as_column(X, g.K, "X"), _as_column(Y, g.K, "Y")
     if X == Y:
         raise ValueError("column merging needs two distinct columns")
     if not check_full(g):

@@ -529,6 +529,23 @@ def test_omega_decomposes_vertical():
         assert total == vertical_array_count_brute(K, R1, R2, s)
 
 
+def _checker_omega(K, R1, R2, w):
+    """Balanced-occupancy count by the checkers: every mark pair and slot
+    matching on (w, w) built as an array, kept when all three conditions hold."""
+    s = sum(w)
+    accepted = 0
+    for marks1 in combinations(range(K), R1):
+        for marks2 in combinations(range(K), R2):
+            for matching in permutations(range(s)):
+                pairing = [0] * (2 * s)
+                for t, u in enumerate(matching):
+                    pairing[t] = s + u
+                    pairing[s + u] = t
+                arr = PairedArray((w, w), frozenset(marks1), frozenset(marks2), tuple(pairing))
+                accepted += check_nonempty(arr) and check_balance(arr) and check_forest(arr)
+    return accepted
+
+
 @pytest.mark.parametrize("K, R1, R2, s", [(2, 1, 1, 2), (3, 2, 1, 2), (3, 2, 2, 2), (3, 1, 2, 3)])
 def test_vertical_brute_matches_checker_based_enumeration(K, R1, R2, s):
     """Accepted candidates pass all three conditions; rejected ones fail one.
@@ -536,21 +553,18 @@ def test_vertical_brute_matches_checker_based_enumeration(K, R1, R2, s):
     With K = 3 and s <= 3 some occupancies leave a column without vertices,
     so the marks (of size up to 2) decide the non-empty condition.
     """
-    accepted = 0
-    for w in _compositions(s, K):
-        for marks1 in combinations(range(K), R1):
-            for marks2 in combinations(range(K), R2):
-                for matching in permutations(range(s)):
-                    pairing = [0] * (2 * s)
-                    for t, u in enumerate(matching):
-                        pairing[t] = s + u
-                        pairing[s + u] = t
-                    arr = PairedArray(
-                        (w, w), frozenset(marks1), frozenset(marks2), tuple(pairing)
-                    )
-                    ok = check_nonempty(arr) and check_balance(arr) and check_forest(arr)
-                    accepted += ok
+    accepted = sum(_checker_omega(K, R1, R2, w) for w in _compositions(s, K))
     assert accepted == vertical_array_count_brute(K, R1, R2, s)
+
+
+@pytest.mark.parametrize("K, s", [(K, s) for K in (1, 2, 3) for s in (1, 2, 3)] + [(2, 4)])
+def test_omega_brute_matches_checker_count_per_occupancy(K, s):
+    """Every occupancy, unsorted ones included: the count cached on the
+    sorted occupancy is the checker count of each one."""
+    for w in _compositions(s, K):
+        for R1 in range(1, K + 1):
+            for R2 in range(1, K + 1):
+                assert omega_count_brute(SubstructureOmega(K, R1, R2, w)) == _checker_omega(K, R1, R2, w)
 
 
 def test_canonical_anchors():

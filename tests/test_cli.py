@@ -400,7 +400,7 @@ def _omega_specs(draw):
         "K": K,
         "R1": draw(marks),
         "R2": draw(marks),
-        # the brute count walks s! matchings: keep s <= 3 before a tweak
+        # the brute count walks the matchings once per mark-set pair: keep s <= 3 before a tweak
         "w": draw(st.lists(st.integers(0, 1), min_size=K, max_size=K)),
     }
     return _spoil(draw, spec)

@@ -233,8 +233,8 @@ def test_omega_formula_anchors():
 def test_omega_formula_random_grid():
     from mapenum.brute import _compositions
 
-    for K in (1, 2, 3):
-        for s in (1, 2, 3):
+    for K in (1, 2, 3, 4):
+        for s in range(1, 8):
             for w in _compositions(s, K):
                 for R1 in range(1, K + 1):
                     for R2 in range(1, K + 1):

@@ -10,6 +10,7 @@ from mapenum.arrays import (
     check_nonempty,
     classify_columns,
     is_irreducible,
+    permute_columns,
 )
 from mapenum.brute import (
     canonical_array_count_brute,
@@ -232,6 +233,26 @@ def test_column_merging_redirects_arrows():
     out = column_merging(g, 0, 2)
     assert out.phi == {2: 0}  # the arrow into the removed column lands on X
     assert check_full(out)
+
+
+@pytest.mark.parametrize(
+    "transform, args",
+    [
+        (permute_columns, ((1.0, 0.0, 2.0),)),
+        (permute_columns, ((0, 1, 3),)),
+        (arrow_simplify_to_mark, (-1,)),
+        (arrow_simplify_retarget, (True,)),
+        (column_pointing, (0, 7)),
+        (column_pointing, (0, -1)),
+        (column_merging, (0.0, 1)),
+        (column_merging, (0, "1")),
+    ],
+)
+def test_transforms_reject_bad_column_arguments(transform, args):
+    # the chain 1 -> 0 -> 2 could be retargeted at column True == 1
+    g = gamma_of([[1, 1, 1], [1, 1, 1]], {2}, {0}, {1: 0, 0: 2})
+    with pytest.raises(ValueError, match=r"columns must be integers|is outside 0\.\.2"):
+        transform(g, *args)
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .transforms import CycleDetected, irreducible_closure
 
 def _emit_series(counts: CycleCountVector, fmt: str) -> None:
     """The generating polynomial: each non-zero a_L at degree L."""
-    coeffs = {L: a for L, a in enumerate(counts.counts, start=1) if a}
+    coeffs = counts.tally()
     if fmt == "json":
         payload = {
             "basis": "monomial",
@@ -67,19 +67,16 @@ def _cmd_hz(args: argparse.Namespace) -> int:
     if args.method == "brute":
         counts = brute.hz_counts_brute(args.q)
     else:
-        poly = hz_series(args.q).to_monomial()
-        counts = CycleCountVector.from_tally(args.q, poly.integer_coeffs())
+        counts = hz_series(args.q).to_counts(args.q)
     return _emit_counts(counts, 1, args)
 
 
 def _cmd_gs(args: argparse.Namespace) -> int:
-    d = args.q1 + args.q2 + args.s
     if args.method == "brute":
         counts = brute.gs_counts_brute(args.q1, args.q2, args.s)
     else:
         series = gs_series_simplified if args.method == "simplified" else gs_series
-        poly = series(args.q1, args.q2, args.s).to_monomial()
-        counts = CycleCountVector.from_tally(d, poly.integer_coeffs())
+        counts = series(args.q1, args.q2, args.s).to_counts(args.q1 + args.q2 + args.s)
     return _emit_counts(counts, 2, args)
 
 

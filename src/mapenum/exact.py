@@ -1,15 +1,18 @@
 """Exact arithmetic, permutation utilities, and polynomial bases.
 
-Everything in this module is exact: counts are Python ints, and the only
-rationals are the monomial-basis coefficients of `MonomialPoly`, since
-C(x, 2) = x^2/2 - x/2. No floating point anywhere.
+Everything in this module is exact: counts are Python ints, and a series
+in the binomial basis becomes its face tallies by `BinomialPoly.to_counts`,
+in integers with one checked division per coefficient. The only rationals
+are the monomial-basis coefficients of `MonomialPoly` (C(x, 2) = x^2/2 -
+x/2), built only by `BinomialPoly.to_monomial` and `CycleCountVector.to_poly`
+for the benchmark and the tests. No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, perm, prod
+from math import comb, factorial, gcd, prod
 from typing import Iterable, Iterator, Sequence
 
 
@@ -176,9 +179,13 @@ class CycleCountVector:
     def total(self) -> int:
         return sum(self.counts)
 
+    def tally(self) -> dict[int, int]:
+        """The non-zero tallies {L: a_L}, by ascending L."""
+        return {L: a for L, a in enumerate(self.counts, start=1) if a}
+
     def to_poly(self) -> "MonomialPoly":
         """Generating polynomial: coefficient a_L at degree L."""
-        return MonomialPoly({L: c for L, c in enumerate(self.counts, start=1)})
+        return MonomialPoly(self.tally())
 
     @classmethod
     def from_tally(cls, d: int, tally: dict[int, int]) -> "CycleCountVector":
@@ -216,21 +223,49 @@ class BinomialPoly:
     def eval(self, x: int) -> int:
         return sum(c * binomial(x, k) for k, c in self.coeffs.items())
 
-    def to_monomial(self) -> "MonomialPoly":
-        """Exact expansion into the monomial basis.
+    def _numerator(self) -> tuple[list[int], int]:
+        """top! times the series in the monomial basis (ascending degree), and top!.
 
         With A_k = c_k top!/k! for the top index, top! times the series is
         A_0 + x(A_1 + (x-1)(A_2 + ... + (x-top+1) A_top)), since k! C(x, k)
         is the falling factorial x(x-1)...(x-k+1). The integer numerator is
-        built from the top index down, one multiply by (x - k) per index,
-        and divided once by top!.
+        built from the top index down in one list, one multiply by (x - k)
+        per index.
         """
         top = max(self.coeffs, default=0)
-        num = [self.coeffs.get(top, 0)]  # ascending degree
+        num = [0] * (top + 1)
+        num[0] = self.coeffs.get(top, 0)
+        weight = 1  # top!/k!
         for k in range(top - 1, -1, -1):
-            num = [lower - k * c for lower, c in zip([0] + num, num + [0])]
-            num[0] += self.coeffs.get(k, 0) * perm(top, top - k)
-        top_factorial = factorial(top)
+            for deg in range(top - k, 0, -1):
+                num[deg] = num[deg - 1] - k * num[deg]
+            weight *= k + 1
+            num[0] = self.coeffs.get(k, 0) * weight - k * num[0]
+        return num, weight
+
+    def to_counts(self, d: int) -> CycleCountVector:
+        """The face tallies of d pairs that this series counts as sum a_L x^L.
+
+        Each coefficient of the numerator is divided once by top!. Raises on a
+        non-integer coefficient, on a non-zero coefficient outside degrees
+        1..d+1 and on a negative one, with the messages of `integer_coeffs`
+        and `CycleCountVector.from_tally`.
+        """
+        num, top_factorial = self._numerator()
+        tally = {}
+        for deg, n in enumerate(num):
+            a, rest = divmod(n, top_factorial)
+            if rest:
+                g = gcd(n, top_factorial)
+                raise ValueError(f"coefficient of degree {deg} is not an integer: "
+                                 f"{n // g}/{top_factorial // g}")
+            if a:
+                tally[deg] = a
+        return CycleCountVector.from_tally(d, tally)
+
+    def to_monomial(self) -> "MonomialPoly":
+        """Exact expansion into the monomial basis."""
+        num, top_factorial = self._numerator()
         return MonomialPoly({deg: Fraction(n, top_factorial) for deg, n in enumerate(num)})
 
 

@@ -52,10 +52,12 @@ def _check_series(where: str, counts: CycleCountVector, class_size: int, vertice
         # Euler: 2 - 2g = vertices - d + L, so vertices + d + L is even
         if counts.a(L) and (vertices + counts.d + L) % 2 != 0:
             problems.append(f"{where}: a_{L} = {counts.a(L)} violates parity")
-    expected = counts.to_poly().integer_coeffs()
-    got = series.to_monomial().integer_coeffs()
-    if expected != got:
-        problems.append(f"{where}: formula {got} != brute {expected}")
+    try:
+        got = series.to_counts(counts.d)
+    except ValueError as exc:  # a series with no valid tallies is a mismatch (exit 1), not a usage error
+        return problems + [f"{where}: formula {exc}; brute {counts.tally()}"]
+    if got != counts:
+        problems.append(f"{where}: formula {got.tally()} != brute {counts.tally()}")
     return problems
 
 

@@ -243,6 +243,39 @@ def test_verify_series_failure_names_case_and_counts(capsys, monkeypatch):
                    f"!= brute {moved.to_poly().integer_coeffs()}\n")
 
 
+def test_formula_series_skip_the_fraction_round_trip(capsys, monkeypatch):
+    # the CLI and verify leave the binomial basis as integers (to_counts)
+    from mapenum.exact import BinomialPoly, CycleCountVector, MonomialPoly
+
+    commands = [["verify", "--suite", suite, "--max-d", "4"] for suite in ("hz", "gs")]
+    for options in OUTPUT_OPTIONS:
+        commands.append(["hz", "--q", "30", *options])
+        commands += [["gs", "--q1", "3", "--q2", "4", "--s", "5", "--method", method, *options]
+                     for method in ("formula", "simplified")]
+    before = [run(capsys, *argv) for argv in commands]
+
+    def refuse(*args):
+        raise RuntimeError("the Fraction round trip was taken")
+
+    for name, owner in [("to_monomial", BinomialPoly), ("to_poly", CycleCountVector),
+                        ("integer_coeffs", MonomialPoly)]:
+        monkeypatch.setattr(owner, name, refuse)
+    after = [run(capsys, *argv) for argv in commands]
+    assert all(code == 0 for code, _, _ in before)
+    assert after == before
+
+
+def test_verify_series_failure_when_formula_gives_no_counts(capsys, monkeypatch):
+    from mapenum import formulas
+    from mapenum.exact import BinomialPoly
+
+    # a_1 = -1: the series is not a tally, which verify reports as a mismatch
+    monkeypatch.setattr(formulas, "hz_series", lambda q: BinomialPoly({2: 2}))
+    code, out, _ = run(capsys, "verify", "--suite", "hz", "--max-d", "1")
+    assert code == 1
+    assert out == "FAIL hz: hz q=1: formula counts must be non-negative; brute {2: 1}\n"
+
+
 def test_series_from_surjections_failure_names_case_and_series(monkeypatch):
     from mapenum import brute, verify
 

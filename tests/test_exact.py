@@ -14,7 +14,9 @@ from mapenum.exact import (
     gamma_of_rows,
     multinomial,
 )
-from mapenum.formulas import gs_series, hz_series
+from mapenum.brute import paired_surjection_count_brute
+from mapenum.formulas import gs_series, gs_series_simplified, hz_series, series_from_surjections
+from mapenum.verify import gs_parameter_tuples
 
 
 def test_double_factorial_values():
@@ -183,6 +185,57 @@ def test_binomial_to_monomial_examples():
     assert BinomialPoly({1: 1, 2: 2}).to_monomial().integer_coeffs() == {2: 1}
     assert BinomialPoly({2: 1}).to_monomial().coeffs == {2: Fraction(1, 2), 1: Fraction(-1, 2)}
     assert BinomialPoly({}).to_monomial().coeffs == {}
+
+
+def _fraction_route(series, d):
+    """The face tallies by way of the monomial basis, the reference for to_counts."""
+    return CycleCountVector.from_tally(d, series.to_monomial().integer_coeffs())
+
+
+def _surjection_series(q1, q2, s):
+    return series_from_surjections({K: paired_surjection_count_brute(K, q1, q2, s)
+                                    for K in range(1, 2 * (q1 + q2 + s) + 1)})
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        lambda: ((hz_series(q), q) for q in range(1, 121)),
+        lambda: ((series(*t), sum(t)) for t in gs_parameter_tuples(24)
+                 for series in (gs_series, gs_series_simplified)),
+        lambda: ((_surjection_series(*t), sum(t)) for t in gs_parameter_tuples(4)),
+    ],
+    ids=["hz-q-120", "gs-d-24", "surjections-d-4"],
+)
+def test_to_counts_equals_fraction_route(cases):
+    for series, d in cases():
+        assert series.to_counts(d) == _fraction_route(series, d), (series, d)
+
+
+@pytest.mark.parametrize(
+    "coeffs, d, message",
+    [({2: 1}, 1, "coefficient of degree 1 is not an integer: -1/2"),
+     ({1: 1, 2: 2}, 0, r"face counts \[2\] outside 1..1"),
+     ({2: 2}, 1, "counts must be non-negative")],
+    ids=["non-integer", "degree-outside", "negative"],
+)
+def test_to_counts_raises_as_the_fraction_route(coeffs, d, message):
+    series = BinomialPoly(coeffs)
+    with pytest.raises(ValueError, match=f"^{message}$") as new:
+        series.to_counts(d)
+    with pytest.raises(ValueError) as old:
+        _fraction_route(series, d)
+    assert str(new.value) == str(old.value)
+
+
+def test_to_counts_of_the_empty_series_is_zero():
+    assert BinomialPoly({}).to_counts(2) == CycleCountVector(2, (0, 0, 0))
+
+
+def test_tally_lists_the_non_zero_counts_by_face_count():
+    assert CycleCountVector(3, (0, 5, 0, 2)).tally() == {2: 5, 4: 2}
+    assert list(CycleCountVector(3, (1, 0, 7, 0)).tally()) == [1, 3]
+    assert CycleCountVector(1, (0, 0)).tally() == {}
 
 
 def test_poly_eval_examples():

@@ -92,6 +92,9 @@ def enumerate_pairings(rows: tuple[int, ...], mixed: int) -> Iterator[Pairing]:
 # ----------------------------------------------------------------------
 
 
+_STRIDE = 1 << 32  # a sub-tally key is mixed * _STRIDE + cycles
+
+
 @lru_cache(maxsize=None)
 def _pairing_tally(rows: tuple[int, ...]) -> dict[tuple[int, int], int]:
     """Tally the pairings mu of the rows' ground set by (mixed pairs, cycles of mu gamma^-1).
@@ -113,40 +116,35 @@ def _pairing_tally(rows: tuple[int, ...]) -> dict[tuple[int, int], int]:
     Relabel the free elements 0..m-1 in their order; the rest of the walk is
     then the same walk on the relabelled state, smallest first. So the state
     is (the row sizes of the free elements, empty rows dropped, and the
-    relabelled pi), and two prefixes with equal states have equal
-    sub-tallies: each distinct state is walked once in this call and its
-    sub-tally reused. Every pairing is still counted exactly once.
-
-    A sub-tally is a flat tuple of (key, count) pairs with key = mixed *
-    stride + cycles; Euler's formula bounds the cycles by n/2 + len(rows),
-    which sizes the stride, and keys of a prefix and of its sub-tally add.
+    relabelled pi), and it alone determines the sub-tally: nothing of
+    ``rows`` enters it beyond the state. ``_tally_state`` therefore caches
+    each state for the life of the process, and every row tuple whose walk
+    reaches a state reuses its sub-tally. Every pairing is still counted
+    exactly once.
     """
     gamma = gamma_of_rows(rows)
-    n = len(gamma)
-    stride = n // 2 + len(rows) + 1  # key = mixed * stride + cycles, cycles <= n/2 + len(rows)
-    pi = [0] * n
+    pi = [0] * len(gamma)
     for x, gx in enumerate(gamma):
         pi[gx] = x
-    # state -> sub-tally; no element left: the one empty completion
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {((), ()): (0, 1)}
-    top = _tally_state(tuple(rows), tuple(pi), stride, memo)
-    return {divmod(key, stride): c for key, c in sorted(zip(top[::2], top[1::2]))}
+    top = _tally_state(rows, tuple(pi))
+    return {divmod(key, _STRIDE): c for key, c in sorted(zip(top[::2], top[1::2]))}
 
 
-def _tally_state(
-    sizes: tuple[int, ...],
-    pi: tuple[int, ...],
-    stride: int,
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]],
-) -> tuple[int, ...]:
-    """Sub-tally of one state of the ``_pairing_tally`` walk, memoized in ``memo``.
+@lru_cache(maxsize=None)
+def _tally_state(sizes: tuple[int, ...], pi: tuple[int, ...]) -> tuple[int, ...]:
+    """Sub-tally of one state of the ``_pairing_tally`` walk.
 
     ``sizes`` are the row sizes of the free elements 0..m-1, in order, and
-    pi[f] is the free f' whose gamma(f') ends the path starting at f.
+    pi[f] is the free f' whose gamma(f') ends the path starting at f. The
+    sub-tally is a flat tuple of (key, count) pairs with key = mixed *
+    _STRIDE + cycles, and keys of a prefix and of its sub-tally add. This
+    needs cycles < _STRIDE: by Euler's formula the cycles of a pairing of n
+    elements in len(rows) rows number at most n/2 + len(rows), far below
+    _STRIDE for any ground set the walk can finish. With no element left,
+    the one empty completion has key 0.
     """
-    state = (sizes, pi)
-    if state in memo:
-        return memo[state]
+    if not pi:
+        return (0, 1)
     m = len(pi)
     acc: dict[int, int] = {}
     pa = pi[0]
@@ -164,7 +162,7 @@ def _tally_state(
                 closed = 1 + (pa == b)
             else:
                 closed = int(pa == b or (pa == 0 and pb == b))
-            shift = closed + stride if row else closed
+            shift = closed + _STRIDE if row else closed
             # a path that ended at gamma(a) now runs on through b to
             # gamma(pi(b)), and through a again if pi(b) = b; likewise
             # a path that ended at gamma(b)
@@ -177,12 +175,11 @@ def _tally_state(
                     elif x == b:
                         x = pb if pa == 0 else pa
                     rest_pi.append(x - 1 if x < b else x - 2)
-            sub = _tally_state(rest_sizes, tuple(rest_pi), stride, memo)
+            sub = _tally_state(rest_sizes, tuple(rest_pi))
             for key, count in zip(sub[::2], sub[1::2]):
                 key += shift
                 acc[key] = acc.get(key, 0) + count
-    memo[state] = flat = tuple(v for item in acc.items() for v in item)
-    return flat
+    return tuple(v for item in acc.items() for v in item)
 
 
 def hz_counts_brute(q: int) -> CycleCountVector:

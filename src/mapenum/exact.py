@@ -166,6 +166,8 @@ class CycleCountVector:
         if type(self.d) is not int or not all(type(c) is int for c in self.counts):
             for x in (self.d, *self.counts):
                 _as_int(x, "d and the counts")
+        if self.d < 0:
+            raise ValueError(f"d must be non-negative, got {self.d}")
         if len(self.counts) != self.d + 1:
             raise ValueError(f"need d+1 = {self.d + 1} entries, got {len(self.counts)}")
         if any(c < 0 for c in self.counts):

@@ -247,8 +247,8 @@ def canonical_from_vertical(
     """
     if not type(K) is type(q1) is type(q2) is type(s) is int:  # as in vertical_count_formula
         K, q1, q2, s = (_as_int(x, "parameters") for x in (K, q1, q2, s))
-    if s < 1:
-        raise ValueError("s must be positive")
+    if K < 1 or s < 1 or q1 < 0 or q2 < 0:  # as in brute.canonical_array_count_brute
+        raise ValueError("need K >= 1, s >= 1, q1, q2 >= 0")
     p1, p2 = 2 * q1 + s, 2 * q2 + s
     num = 0
     for t1 in range(q1 + 1):

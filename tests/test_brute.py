@@ -25,6 +25,7 @@ from mapenum.brute import (
     _compositions,
     _pairing_tally,
     _surjections,
+    _tally_state,
     canonical_array_count_brute,
     enumerate_pairings,
     gamma_count_brute,
@@ -145,8 +146,8 @@ def test_pairing_walk_matches_definition_two_rows(p1, p2):
 
 
 def test_pairing_walk_matches_definition_more_rows():
-    # three and four rows: the cycle count reaches n/2 + len(rows), past the
-    # key stride that two rows need
+    # three and four rows: the cycle count reaches n/2 + len(rows), more
+    # cycles than any one- or two-row tuple of the same total has
     tuples = list(_row_tuples(4, 10))
     more = [rows for rows in tuples if len(rows) > 2]
     assert (len(tuples), len(more)) == (230, 200)  # the other 30 are checked above
@@ -186,6 +187,38 @@ def test_classes_of_one_ground_set_share_one_walk():
     gs_counts_brute(0, 0, 3)
     info = _pairing_tally.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def _clear_tally_caches():
+    _pairing_tally.cache_clear()
+    _tally_state.cache_clear()
+
+
+def test_shared_states_do_not_depend_on_the_order_of_the_walks():
+    # a state's sub-tally outlives the walk that first reached it, so it
+    # must not depend on which row tuple that was
+    tuples = list(_row_tuples(4, 10))
+    _clear_tally_caches()
+    forward = {rows: _pairing_tally(rows) for rows in tuples}
+    _clear_tally_caches()
+    backward = {rows: _pairing_tally(rows) for rows in reversed(tuples)}
+    assert forward == backward
+
+
+def test_walks_of_different_rows_share_states():
+    # pairing 0 with its neighbour 1 on the 8-cycle closes one cycle and
+    # leaves a 6-cycle on the free elements, the start state of (6,): after
+    # (6,), the walk of (8,) finds every state of (6,) cached
+    _clear_tally_caches()
+    _pairing_tally((8,))
+    alone = _tally_state.cache_info().misses
+    _clear_tally_caches()
+    _pairing_tally((6,))
+    first = _tally_state.cache_info()
+    _pairing_tally((8,))
+    second = _tally_state.cache_info()
+    assert second.hits > first.hits
+    assert second.misses - first.misses == alone - first.misses
 
 
 def test_hz_counts_small():

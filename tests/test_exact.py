@@ -136,6 +136,14 @@ def test_cycle_count_vector():
         CycleCountVector(1, (-1, 0))
 
 
+@pytest.mark.parametrize("d, counts", [(-1, ()), (-2, (0,)), (-3, (1, 0))])
+def test_cycle_count_vector_rejects_a_negative_d(d, counts):
+    with pytest.raises(ValueError, match=f"^d must be non-negative, got {d}$"):
+        CycleCountVector(d, counts)
+    with pytest.raises(ValueError, match=f"^d must be non-negative, got {d}$"):
+        BinomialPoly({}).to_counts(d)
+
+
 @pytest.mark.parametrize(
     "d, counts",
     [(2.0, (1, 0, 2)), (True, (1, 0)), (2, (1.0, 0, 2.5)), (2, (1, False, 2)), (1, (0, 1.5))],

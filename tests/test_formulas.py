@@ -66,6 +66,25 @@ def test_hz_series_matches_brute_smallish():
             hz_counts_brute(q).to_poly().integer_coeffs()
 
 
+def test_hz_series_satisfies_the_harer_zagier_recursion():
+    # (n+1) e_g(n) = 2(2n-1) e_g(n-1) + (n-1)(2n-1)(2n-3) e_{g-1}(n-2), with
+    # e_g(n) the pairings of 2n elements in genus g, that is, with n+1-2g
+    # cycles: a check of hz_series that does not go through brute force
+    def table(n):
+        if n == 0:
+            return {0: 1}
+        counts = hz_series(n).to_counts(n)
+        return {g: counts.a(n + 1 - 2 * g) for g in range(n // 2 + 1)}
+
+    e = [table(n) for n in range(121)]
+    for n in range(2, 121):
+        for g in range(n // 2 + 1):
+            assert (n + 1) * e[n][g] == 2 * (2 * n - 1) * e[n - 1].get(g, 0) + (
+                (n - 1) * (2 * n - 1) * (2 * n - 3) * e[n - 2].get(g - 1, 0)
+            ), (n, g)
+    assert e[2] == {0: 2, 1: 1}
+
+
 def test_gs_series_anchors():
     assert gs_series(0, 0, 1).to_monomial().integer_coeffs() == {1: 1}
     assert gs_series(0, 0, 2).to_monomial().integer_coeffs() == {2: 2}
@@ -247,6 +266,17 @@ def test_canonical_from_vertical_anchors():
     assert canonical_from_vertical(1, 0, 0, 1, vertical_count_formula) == 1
     with pytest.raises(ValueError):
         canonical_from_vertical(1, 0, 0, 0, vertical_count_formula)
+
+
+@pytest.mark.parametrize(
+    "K, q1, q2, s", [(0, 0, 0, 1), (1, -1, 0, 1), (1, 0, -1, 1), (1, 0, 0, 0), (2, 1, 1, -2)]
+)
+def test_canonical_from_vertical_rejects_bad_parameters(K, q1, q2, s):
+    # the canonical oracle's message, before any factorial of a negative value
+    with pytest.raises(ValueError, match=r"^need K >= 1, s >= 1, q1, q2 >= 0$"):
+        canonical_from_vertical(K, q1, q2, s, vertical_count_formula)
+    with pytest.raises(ValueError, match=r"^need K >= 1, s >= 1, q1, q2 >= 0$"):
+        canonical_array_count_brute(K, q1, q2, s)
 
 
 def test_canonical_from_vertical_accepts_brute_source():

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, combinations, groupby, product
 from math import factorial, prod
-from operator import ge, itemgetter
+from operator import ge, itemgetter, sub
 from typing import Iterator
 
 from .arrays import (
@@ -251,12 +251,15 @@ def _rooting_columns(psi: tuple[int, ...]) -> int:
     return sum(1 for j in range(len(psi)) if _rooted_forest(full, {j}))
 
 
-def _count_forest_matchings(g: SubstructureGamma, forced: tuple[int, int] | None = None) -> int:
+_Slot = tuple[int, int]  # (column, index-within-cell)
+
+
+def _count_forest_matchings(g: SubstructureGamma, forced: tuple[_Slot, _Slot] | None = None) -> int:
     """Count bijections between the row-1 and row-2 slots of ``g`` whose
     forest maps are rooted at its marked columns.
 
-    ``forced=(t, u)`` restricts the count to matchings sending row-1 slot t
-    to row-2 slot u (flat slot indices in row order).
+    ``forced=(v, u)`` restricts the count to matchings pairing row-1 slot v
+    with row-2 slot u, both checked (column, index-within-cell) addresses.
 
     Only the critical slots, rightmost in their open cells, feed the forest
     maps: psi1 sends the column of a critical row-1 slot to the column of
@@ -271,9 +274,11 @@ def _count_forest_matchings(g: SubstructureGamma, forced: tuple[int, int] | None
        edge in psi1). The n spare slots left in j are n different
        matchings that give the same edges and leave the same pool, n - 1
        spare slots in j, so that branch is walked once with weight n.
-    3. Each critical row-2 slot still unmatched takes a spare row-1 slot,
-       weighted the same way: a row-1 slot is critical or spare, and every
-       critical one is matched by now.
+    3. Each critical row-2 slot still unmatched then takes a row-1 slot by
+       the same step, which can only give it a spare one: a row-1 slot is
+       critical or spare, and every critical one is matched by now. Steps 2
+       and 3 are one loop over the critical slots, row 1's first, which
+       skips a slot already matched.
     4. The spare slots left pair up in any of m! ways, m on each side,
        since neither side feeds a forest map: the walk multiplies by m!.
 
@@ -288,90 +293,65 @@ def _count_forest_matchings(g: SubstructureGamma, forced: tuple[int, int] | None
     a cycle or a dead end. At step 4 no column is pending, so the maps are
     rooted at the marks alone, which is the forest condition.
     """
-    w1, w2 = g.w
     K = g.K
-    # the columns whose critical slot is still unmatched, and each column's spare slots
-    crit1 = [j for j in open_columns(g, 1) if w1[j]]
-    crit2 = [j for j in open_columns(g, 2) if w2[j]]
-    spare1, spare2 = list(w1), list(w2)
-    for j in crit1:
-        spare1[j] -= 1
-    for j in crit2:
-        spare2[j] -= 1
-    psi1, roots1 = g.phi, set(g.r1) | set(crit1)
-    psi2, roots2 = {}, set(g.r2) | set(crit2)
-    if not _rooted_forest(psi1, roots1):
+    # per row (index 0 for row 1): the columns with a critical slot, whether
+    # it is still unmatched, each column's spare slots, the forest map and its roots
+    w1, w2 = g.w
+    crit = ([j for j in open_columns(g, 1) if w1[j]], [j for j in open_columns(g, 2) if w2[j]])
+    waiting = ([j in crit[0] for j in range(K)], [j in crit[1] for j in range(K)])
+    spare = (list(map(sub, w1, waiting[0])), list(map(sub, w2, waiting[1])))
+    psi = (g.phi, {})
+    roots = (set(g.r1) | set(crit[0]), set(g.r2) | set(crit[1]))
+    if not _rooted_forest(psi[0], roots[0]):
         return 0
     if forced is not None:
-        t, u = forced
-        j1, j2 = _slot_columns(w1)[t], _slot_columns(w2)[u]
-        if j1 in crit1 and t == _rightmost_slots(w1)[j1]:
-            if not _stays_rooted(psi1, roots1, j1, j2):
-                return 0
-            psi1[j1] = j2
-            roots1.discard(j1)
-            crit1.remove(j1)
-        else:
-            spare1[j1] -= 1
-        if j2 in crit2 and u == _rightmost_slots(w2)[j2]:
-            if not _stays_rooted(psi2, roots2, j2, j1):
-                return 0
-            psi2[j2] = j1
-            roots2.discard(j2)
-            crit2.remove(j2)
-        else:
-            spare2[j2] -= 1
-    waiting2 = [j in crit2 for j in range(K)]
+        for row in (0, 1):
+            (j, idx), (h, _) = forced[row], forced[1 - row]
+            if waiting[row][j] and idx == g.w[row][j] - 1:
+                if not _stays_rooted(psi[row], roots[row], j, h):
+                    return 0
+                psi[row][j] = h
+                roots[row].discard(j)
+                waiting[row][j] = False
+            else:
+                spare[row][j] -= 1
+    # each critical slot with its row's state and the other row's, read once
+    slots = [(j, psi[r], roots[r], waiting[r], psi[1 - r], roots[1 - r], waiting[1 - r],
+              spare[1 - r]) for r in (0, 1) for j in crit[r]]
 
-    def place1(i: int) -> int:
-        # step 2: the critical row-1 slots crit1[i:]
-        if i == len(crit1):
-            rest = [j for j in crit2 if waiting2[j]]
-            return place2(rest, 0) * factorial(sum(spare2))
-        j1 = crit1[i]
+    def place(i: int) -> int:
+        # steps 2 and 3: the critical slots slots[i:]
+        if i == len(slots):
+            return factorial(sum(spare[1]))
+        j, psi_r, roots_r, waiting_r, psi_o, roots_o, waiting_o, spare_o = slots[i]
+        if not waiting_r[j]:
+            return place(i + 1)
+        waiting_r[j] = False
         total = 0
-        for j2 in range(K):
-            n = spare2[j2]
-            if not (n or waiting2[j2]) or not _stays_rooted(psi1, roots1, j1, j2):
+        for h in range(K):
+            n = spare_o[h]
+            if not (n or waiting_o[h]) or not _stays_rooted(psi_r, roots_r, j, h):
                 continue
-            psi1[j1] = j2
-            roots1.discard(j1)
-            if waiting2[j2] and _stays_rooted(psi2, roots2, j2, j1):
-                waiting2[j2] = False
-                psi2[j2] = j1
-                roots2.discard(j2)
-                total += place1(i + 1)
-                roots2.add(j2)
-                del psi2[j2]
-                waiting2[j2] = True
+            psi_r[j] = h
+            roots_r.discard(j)
+            if waiting_o[h] and _stays_rooted(psi_o, roots_o, h, j):
+                waiting_o[h] = False
+                psi_o[h] = j
+                roots_o.discard(h)
+                total += place(i + 1)
+                roots_o.add(h)
+                del psi_o[h]
+                waiting_o[h] = True
             if n:
-                spare2[j2] = n - 1
-                total += n * place1(i + 1)
-                spare2[j2] = n
-            roots1.add(j1)
-            del psi1[j1]
+                spare_o[h] = n - 1
+                total += n * place(i + 1)
+                spare_o[h] = n
+            roots_r.add(j)
+            del psi_r[j]
+        waiting_r[j] = True
         return total
 
-    def place2(rest: list[int], i: int) -> int:
-        # step 3: the unmatched critical row-2 slots rest[i:]
-        if i == len(rest):
-            return 1
-        j2 = rest[i]
-        total = 0
-        for j1 in range(K):
-            n = spare1[j1]
-            if not n or not _stays_rooted(psi2, roots2, j2, j1):
-                continue
-            psi2[j2] = j1
-            roots2.discard(j2)
-            spare1[j1] = n - 1
-            total += n * place2(rest, i + 1)
-            spare1[j1] = n
-            roots2.add(j2)
-            del psi2[j2]
-        return total
-
-    return place1(0)
+    return place(0)
 
 
 def gamma_count_brute(g: SubstructureGamma) -> int:
@@ -386,16 +366,20 @@ def gamma_count_brute_with_pair(
 
     ``v`` and ``u`` are (column, index-within-cell) addresses in rows 1 and 2.
     """
-    t = _flat_slot(g.w[0], v, "v", 1)
-    return _count_forest_matchings(g, forced=(t, _flat_slot(g.w[1], u, "u", 2)))
+    forced = (_slot_address(g.w[0], v, "v", 1), _slot_address(g.w[1], u, "u", 2))
+    return _count_forest_matchings(g, forced)
 
 
-def _flat_slot(w: tuple[int, ...], address: tuple[int, int], label: str, row: int) -> int:
-    """Flat index within its row of the slot at (column, index-within-cell)."""
-    col, idx = (_as_int(x, f"{label} coordinates") for x in address)
+def _slot_address(w: tuple[int, ...], address: _Slot, label: str, row: int) -> _Slot:
+    """``address`` as a (column, index-within-cell) slot of a row with occupancy ``w``."""
+    try:
+        col, idx = address
+    except (TypeError, ValueError):
+        raise ValueError(f"{label} must be a (column, index) pair") from None
+    col, idx = (_as_int(x, f"{label} coordinates") for x in (col, idx))
     if not (0 <= col < len(w) and 0 <= idx < w[col]):
         raise ValueError(f"{label} is not a slot of row {row}")
-    return sum(w[:col]) + idx
+    return col, idx
 
 
 def omega_count_brute(o: SubstructureOmega) -> int:

@@ -52,6 +52,8 @@ def multinomial(parts: Iterable[int]) -> int:
 
 def _as_int(x, label: str) -> int:
     """``x`` itself if it is an integer: floats and bools are rejected, not truncated."""
+    if type(x) is int:
+        return x
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"{label} must be integers, got {x!r}")
     return x
@@ -162,10 +164,8 @@ class CycleCountVector:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # plain ints skip the per-value checks, as in formulas.vertical_count_formula
-        if type(self.d) is not int or not all(type(c) is int for c in self.counts):
-            for x in (self.d, *self.counts):
-                _as_int(x, "d and the counts")
+        for x in (self.d, *self.counts):
+            _as_int(x, "d and the counts")
         if self.d < 0:
             raise ValueError(f"d must be non-negative, got {self.d}")
         if len(self.counts) != self.d + 1:
@@ -212,13 +212,9 @@ class BinomialPoly:
     def __post_init__(self) -> None:
         clean = {}
         for k, c in self.coeffs.items():
-            if type(k) is not int:
-                _as_int(k, "binomial-basis indices")
-            if k < 1:
+            if _as_int(k, "binomial-basis indices") < 1:
                 raise ValueError(f"binomial-basis index must be an int >= 1, got {k!r}")
-            if type(c) is not int:
-                _as_int(c, "binomial-basis coefficients")
-            if c != 0:
+            if _as_int(c, "binomial-basis coefficients") != 0:
                 clean[k] = c
         self.coeffs = clean
 
@@ -280,10 +276,7 @@ class MonomialPoly:
     def __post_init__(self) -> None:
         clean = {}
         for deg, c in self.coeffs.items():
-            # plain ints and Fractions skip the checks, as in BinomialPoly
-            if type(deg) is not int:
-                _as_int(deg, "monomial degrees")
-            if deg < 0:
+            if _as_int(deg, "monomial degrees") < 0:
                 raise ValueError(f"degree must be an int >= 0, got {deg!r}")
             if type(c) is not Fraction:
                 if isinstance(c, bool) or not isinstance(c, (int, Fraction)):

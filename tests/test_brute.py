@@ -481,20 +481,58 @@ def test_forced_counts_of_a_row_one_slot_sum_to_the_total(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "v, u",
-    [((-1, 0), (0, 0)), ((2, 0), (0, 0)), ((0, 0), (-1, 0)), ((0, 0), (2, 0))],
-    ids=["v-negative", "v-past-K", "u-negative", "u-past-K"],
+    "v, u, message",
+    [
+        ((-1, 0), (0, 0), "v is not a slot"),
+        ((2, 0), (0, 0), "v is not a slot"),
+        ((0, 0), (-1, 0), "u is not a slot"),
+        ((0, 0), (2, 0), "u is not a slot"),
+        (5, (0, 0), r"v must be a \(column, index\) pair"),
+        (None, (0, 0), r"v must be a \(column, index\) pair"),
+        ((0, 0), (0,), r"u must be a \(column, index\) pair"),
+        ((0, 0), (0, 0, 0), r"u must be a \(column, index\) pair"),
+    ],
+    ids=["v-negative", "v-past-K", "u-negative", "u-past-K",
+         "v-int", "v-none", "u-short", "u-long"],
 )
-def test_gamma_count_with_pair_rejects_slots_outside_the_rows(v, u):
+def test_gamma_count_with_pair_rejects_slots_outside_the_rows(v, u, message):
     # a negative column would otherwise wrap around to column K - 1
     g = SubstructureGamma.of([[1, 1], [1, 1]], {0}, {0}, {})
-    with pytest.raises(ValueError, match="not a slot"):
+    with pytest.raises(ValueError, match=message):
         gamma_count_brute_with_pair(g, v, u)
 
 
+def test_matching_count_is_symmetric_under_swapping_the_rows():
+    """Without arrows the two rows play the same part: swapping rows and
+    marks keeps every count, and the forced pair (v, u) becomes (u, v).
+    The walk places both rows' critical slots with one step, so a row
+    index mixed up in that step shows here."""
+    cases = nonzero = 0
+    for K, s in product((1, 2, 3), (1, 2, 3)):
+        for g in _substructures(K, s):
+            if g.arrows:
+                continue
+            swapped = SubstructureGamma(g.w[::-1], g.r2, g.r1)
+            total = gamma_count_brute(g)
+            assert gamma_count_brute(swapped) == total
+            for v in _slot_addresses(g.w[0]):
+                for u in _slot_addresses(g.w[1]):
+                    forced = gamma_count_brute_with_pair(g, v, u)
+                    assert gamma_count_brute_with_pair(swapped, u, v) == forced
+            cases += 1
+            nonzero += total > 0
+    assert (cases, nonzero) == (1685, 1115)
+
+
 def _permutation_walk(g, forced=None):
-    """The s!-permutation matching count that the grouped walk replaced."""
+    """The s!-permutation matching count that the grouped walk replaced.
+
+    ``forced`` holds (column, index-within-cell) addresses, as the walk takes
+    them; the permutation walk reads them as flat slot indices in row order.
+    """
     (w1, w2), r1, r2, phi = g.w, g.r1, g.r2, g.phi
+    if forced is not None:
+        forced = tuple(sum(w[:col]) + idx for w, (col, idx) in zip(g.w, forced))
     col1 = _slot_columns(w1)
     col2 = _slot_columns(w2)
     last1, last2 = _rightmost_slots(w1), _rightmost_slots(w2)

@@ -167,6 +167,22 @@ def test_invalid_parameters_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hz", "--q", "600", "--method", "brute"],  # the tally walk recurses q deep
+        ["gs", "--q1", "300", "--q2", "300", "--s", "1", "--method", "brute"],
+        # the occupancies of s vertices in K columns are built K deep
+        ["vertical", "--K", "1100", "--R1", "1", "--R2", "1", "--s", "1", "--method", "brute"],
+    ],
+    ids=["hz", "gs", "vertical"],
+)
+def test_recursion_overflow_exits_2_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["hz"])  # missing --q

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import AbstractSet, Iterable, Mapping, Sequence, Union
 
 from .exact import _as_int
@@ -31,26 +32,44 @@ def _load_spec(text: str, kind: str, fields: Mapping[str, type], **defaults) -> 
     return data
 
 
+_PLAIN_INT = frozenset([int])
+
+
+def _checked_ints(values: Union[tuple, frozenset], label: str) -> Union[tuple, frozenset]:
+    """``values`` itself once every entry passes ``_as_int``.
+
+    The whole value is tested at once; only when some entry is not a plain
+    int does ``_as_int`` run per entry, to reject it or accept an int
+    subclass.
+    """
+    if not _PLAIN_INT.issuperset(map(type, values)):
+        for x in values:
+            _as_int(x, label)
+    return values
+
+
 def _as_occupancy(w) -> tuple[tuple[int, ...], tuple[int, ...]]:
     try:
-        w = tuple(tuple(_as_int(x, "occupancy entries") for x in row) for row in w)
+        w = tuple([_checked_ints(tuple(row), "occupancy entries") for row in w])
     except TypeError:
         raise ValueError("occupancy must be a 2 x K matrix of integers") from None
     if len(w) != 2 or len(w[0]) != len(w[1]):
         raise ValueError("occupancy must be a 2 x K matrix")
-    if any(x < 0 for row in w for x in row):
+    if min(w[0] + w[1], default=0) < 0:
         raise ValueError("occupancy must be non-negative")
     return w
 
 
 def _as_marks(marks, K: int, label: str) -> frozenset[int]:
     try:
-        marks = frozenset(_as_int(j, f"{label} columns") for j in marks)
+        if type(marks) is not frozenset:
+            marks = tuple(marks)  # entries are checked before they are hashed
+        marks = frozenset(_checked_ints(marks, f"{label} columns"))
     except TypeError:
         raise ValueError(f"{label} must be a list of column indices") from None
     if not marks:
         raise ValueError(f"{label} must mark at least one column")
-    if any(j < 0 or j >= K for j in marks):
+    if min(marks) < 0 or max(marks) >= K:
         raise ValueError(f"{label} contains a column outside 0..{K - 1}")
     return marks
 
@@ -73,6 +92,8 @@ def _as_tail(t) -> int:
 
 
 def _as_arrows(arrows, r1: frozenset[int], K: int) -> tuple[tuple[int, int], ...]:
+    if type(arrows) in (tuple, dict) and not arrows:
+        return ()
     if isinstance(arrows, Mapping):
         items = arrows.items()
     else:
@@ -115,7 +136,15 @@ def _rightmost_slots(w: Sequence[int], base: int = 0) -> list[int]:
 class _Cells:
     """The 2 x K cells shared by arrays and substructures: occupancy ``w``,
     marked columns ``r1`` and ``r2``, and ``arrows`` as sorted (tail, head)
-    pairs whose tails never sit in row-1-marked columns."""
+    pairs whose tails never sit in row-1-marked columns.
+
+    The cell structure is worked out once, when the fields have passed their
+    checks: ``tails``, the arrow tails, and ``_open``, the open columns of
+    row i at index i - 1.
+    """
+
+    tails: frozenset[int]
+    _open: tuple[tuple[int, ...], tuple[int, ...]]
 
     @property
     def K(self) -> int:
@@ -125,9 +154,14 @@ class _Cells:
     def phi(self) -> dict[int, int]:
         return dict(self.arrows)
 
-    @property
-    def tails(self) -> frozenset[int]:
-        return frozenset(t for t, _ in self.arrows)
+    def _store_cells(self) -> None:
+        tails = frozenset([t for t, _ in self.arrows])
+        columns = range(len(self.w[0]))
+        object.__setattr__(self, "tails", tails)
+        object.__setattr__(self, "_open", (
+            tuple(filterfalse((self.r1 | tails).__contains__, columns)),
+            tuple(filterfalse(self.r2.__contains__, columns)),
+        ))
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +192,7 @@ class PairedArray(_Cells):
         object.__setattr__(self, "r1", _as_marks(self.r1, K, "r1"))
         object.__setattr__(self, "r2", _as_marks(self.r2, K, "r2"))
         try:
-            pairing = tuple(_as_int(t, "pairing entries") for t in self.pairing)
+            pairing = _checked_ints(tuple(self.pairing), "pairing entries")
         except TypeError:
             raise ValueError("pairing must be a sequence of slot indices") from None
         object.__setattr__(self, "pairing", pairing)
@@ -171,6 +205,7 @@ class PairedArray(_Cells):
         object.__setattr__(self, "arrows", _as_arrows(self.arrows, self.r1, K))
         if self.arrows and any(pairing[t] < self.p1 for t in range(self.p1)):
             raise ValueError("arrays carrying arrows must be vertical: every pair mixed")
+        self._store_cells()
 
     @property
     def p1(self) -> int:
@@ -185,6 +220,8 @@ class PairedArray(_Cells):
 
     def mixed_counts(self, row: int) -> list[int]:
         """Number of mixed vertices per column in the given row."""
+        if row not in (1, 2):
+            raise ValueError("row must be 1 or 2")
         counts = [0] * self.K
         base = 0 if row == 1 else self.p1
         for offset, j in enumerate(_slot_columns(self.w[row - 1])):
@@ -227,6 +264,7 @@ class SubstructureGamma(_Cells):
         object.__setattr__(self, "arrows", _as_arrows(self.arrows, self.r1, K))
         if sum(w[0]) != sum(w[1]):
             raise ValueError("both rows must carry the same number of vertices")
+        self._store_cells()
 
     @classmethod
     def of(cls, w, r1, r2, phi: Mapping[int, int] | None = None) -> "SubstructureGamma":
@@ -310,9 +348,11 @@ ArrayLike = Union[PairedArray, SubstructureGamma]
 
 def open_columns(a: ArrayLike, row: int) -> list[int]:
     """Columns whose cell in ``row`` is open: unmarked and, in row 1, free of
-    arrow tails. Depends only on the marks and arrows."""
-    closed = a.r1 | a.tails if row == 1 else a.r2
-    return [j for j in range(a.K) if j not in closed]
+    arrow tails. Depends only on the marks and arrows, so it is worked out
+    once, at construction; each call returns a fresh list."""
+    if row not in (1, 2):
+        raise ValueError("row must be 1 or 2")
+    return list(a._open[row - 1])
 
 
 # ----------------------------------------------------------------------
@@ -351,7 +391,7 @@ def check_balance(a: ArrayLike) -> bool:
 def check_full(a: ArrayLike) -> bool:
     """Every cell (not just every column) holds at least one object: every
     open cell holds a vertex."""
-    return all(a.w[row - 1][j] > 0 for row in (1, 2) for j in open_columns(a, row))
+    return all(w[j] > 0 for w, opened in zip(a.w, a._open) for j in opened)
 
 
 def forest_function(a: PairedArray, row: int) -> dict[int, int]:
@@ -367,7 +407,7 @@ def forest_function(a: PairedArray, row: int) -> dict[int, int]:
     col = _slot_columns(a.w[0]) + _slot_columns(a.w[1])
     rightmost = _rightmost_slots(a.w[row - 1], 0 if row == 1 else a.p1)
     psi = a.phi if row == 1 else {}
-    for j in open_columns(a, row):
+    for j in a._open[row - 1]:
         if rightmost[j] >= 0:
             psi[j] = col[a.pairing[rightmost[j]]]
     return psi
@@ -424,7 +464,7 @@ def check_forest(a: PairedArray) -> bool:
 def critical_vertices(g: ArrayLike) -> set[tuple[int, int]]:
     """Cells holding a critical vertex, as (row, column) pairs: the open
     cells that hold a vertex."""
-    return {(row, j) for row in (1, 2) for j in open_columns(g, row) if g.w[row - 1][j] > 0}
+    return {(row, j) for row, w, opened in zip((1, 2), g.w, g._open) for j in opened if w[j] > 0}
 
 
 def is_irreducible(g: SubstructureGamma) -> bool:

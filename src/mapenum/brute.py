@@ -8,7 +8,7 @@ scale (at most a few pairs per row) and serve as ground truth everywhere.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations, groupby, product
+from itertools import accumulate, groupby, product
 from math import factorial, prod
 from operator import ge, itemgetter, sub
 from typing import Iterator
@@ -20,9 +20,8 @@ from .arrays import (
     _rooted_forest,
     _slot_columns,
     _stays_rooted,
-    open_columns,
 )
-from .exact import CycleCountVector, Pairing, _as_int, gamma_of_rows
+from .exact import CycleCountVector, Pairing, _as_int, gamma_of_rows, multinomial
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +296,7 @@ def _count_forest_matchings(g: SubstructureGamma, forced: tuple[_Slot, _Slot] | 
     # per row (index 0 for row 1): the columns with a critical slot, whether
     # it is still unmatched, each column's spare slots, the forest map and its roots
     w1, w2 = g.w
-    crit = ([j for j in open_columns(g, 1) if w1[j]], [j for j in open_columns(g, 2) if w2[j]])
+    crit = tuple([j for j in opened if w[j]] for w, opened in zip(g.w, g._open))
     waiting = ([j in crit[0] for j in range(K)], [j in crit[1] for j in range(K)])
     spare = (list(map(sub, w1, waiting[0])), list(map(sub, w2, waiting[1])))
     psi = (g.phi, {})
@@ -409,14 +408,39 @@ def omega_count_brute(o: SubstructureOmega) -> int:
 
 @lru_cache(maxsize=None)
 def _sorted_omega_count(K: int, R1: int, R2: int, w: tuple[int, ...]) -> int:
-    """``omega_count_brute`` on a sorted occupancy ``w``."""
-    empty = {j for j, count in enumerate(w) if count == 0}
-    return sum(
-        _count_forest_matchings(SubstructureGamma((w, w), r1, r2))
-        for r1 in combinations(range(K), R1)
-        for r2 in combinations(range(K), R2)
-        if empty <= {*r1, *r2}
-    )
+    """``omega_count_brute`` on a sorted occupancy ``w``, walked once per
+    orbit of covering mark-set pairs.
+
+    The columns of w fall into blocks of equal occupancy, and a permutation
+    sigma that moves columns only within their blocks fixes w. As shown for
+    ``omega_count_brute``, it maps the arrays on (w; r1, r2) one to one onto
+    those on (w; sigma r1, sigma r2), and it keeps covering, since it maps
+    the vertex-free columns, one block, onto themselves. Under these
+    permutations the orbit of (r1, r2) is fixed by how many of each block's
+    n columns are marked in row 1 only (a), in row 2 only (b), in both (c)
+    or in neither (e), and it holds prod multinomial(a, b, c, e) pairs. So
+    the walk runs once per choice of (a, b, c, e) for each block, with
+    sum(a + c) = R1, sum(b + c) = R2 and e = 0 in the vertex-free block,
+    on the pair that marks each block's first columns in that order.
+    """
+    blocks = [(count, len(list(run))) for count, run in groupby(w)]
+    choices = [[(a, b, c, e) for a, b, c, e in _compositions(n, 4)
+                if (count or not e) and a + c <= R1 and b + c <= R2] for count, n in blocks]
+    total = 0
+    for split in product(*choices):
+        if sum(a + c for a, _, c, _ in split) != R1 or sum(b + c for _, b, c, _ in split) != R2:
+            continue
+        r1: list[int] = []
+        r2: list[int] = []
+        start = 0
+        for (a, b, c, _), (_, n) in zip(split, blocks):
+            r1 += range(start, start + a)
+            r1 += range(start + a + b, start + a + b + c)
+            r2 += range(start + a, start + a + b + c)
+            start += n
+        weight = prod(map(multinomial, split))
+        total += weight * _count_forest_matchings(SubstructureGamma((w, w), r1, r2))
+    return total
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

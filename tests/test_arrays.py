@@ -19,10 +19,13 @@ from mapenum.arrays import (
     critical_vertices,
     forest_function,
     is_irreducible,
+    open_columns,
     permute_columns,
 )
-from mapenum.brute import gamma_count_brute
+from mapenum.brute import enumerate_pairings, gamma_count_brute
+from mapenum.exact import gamma_of_rows
 from mapenum.transforms import labelled_to_canonical
+from mapenum.verify import gs_parameter_tuples
 
 
 def gamma_of(w, r1, r2, phi=None):
@@ -264,6 +267,24 @@ def _random_cells(rng, p1, p2):
     return tuple(w), r1, r2, phi
 
 
+def _assert_cell_structure(a):
+    """The cell structure stored at construction against the definitions,
+    recomputed from (w, r1, r2, arrows) alone."""
+    K = len(a.w[0])
+    tails = {t for t, _ in a.arrows}
+    cells = {(row, j) for row in (1, 2) for j in range(K)}
+    occupied = {(row, j) for row, j in cells if a.w[row - 1][j] > 0}
+    closed = {(1, j) for j in a.r1 | tails} | {(2, j) for j in a.r2}
+    open_cells = cells - closed
+    assert a.tails == tails
+    for row in (1, 2):
+        assert open_columns(a, row) == sorted(j for r, j in open_cells if r == row)
+    assert critical_vertices(a) == open_cells & occupied
+    assert check_full(a) == (open_cells <= occupied)
+    objects = a.r1 | a.r2 | tails
+    assert check_nonempty(a) == all(a.w[0][j] + a.w[1][j] > 0 or j in objects for j in range(K))
+
+
 def test_open_cells_follow_the_cell_rules():
     # a cell is open when it holds no mark and, in row 1, no arrow tail
     import random
@@ -286,16 +307,44 @@ def test_open_cells_follow_the_cell_rules():
             pairing[a], pairing[b] = b, a
         paired = PairedArray(w2, q1, q2, tuple(pairing))
         for a in (gamma_of(w, r1, r2, phi), arrowed, paired):
-            cells = {(row, j) for row in (1, 2) for j in range(a.K)}
-            occupied = {(row, j) for row, j in cells if a.w[row - 1][j] > 0}
-            closed = {(1, j) for j in a.r1 | set(a.phi)} | {(2, j) for j in a.r2}
-            open_cells = cells - closed
-            assert check_full(a) == (open_cells <= occupied)
-            assert critical_vertices(a) == open_cells & occupied
+            _assert_cell_structure(a)
         for a in (arrowed, paired):
             crit = critical_vertices(a)
             assert set(forest_function(a, 2)) == {j for row, j in crit if row == 2}
             assert set(forest_function(a, 1)) == {j for row, j in crit if row == 1} | set(a.phi)
+
+
+def test_stored_cell_structure_on_sweep_draws_and_canonical_arrays(two_row_example):
+    from mapenum import verify
+
+    drawn = []
+    post_init = SubstructureGamma.__post_init__
+
+    def record(g):
+        post_init(g)
+        drawn.append(g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SubstructureGamma, "__post_init__", record)
+        for suite in ("gamma", "lemmas"):
+            verify.run_suite(suite, seed=0)
+    assert len(drawn) > 1000
+    for g in drawn:
+        _assert_cell_structure(g)
+    # canonical arrays: every paired surjection with d <= 2, and the worked example
+    canonical = [labelled_to_canonical(*two_row_example)]
+    for q1, q2, s in gs_parameter_tuples(2):
+        rows = (2 * q1 + s, 2 * q2 + s)
+        n = sum(rows)
+        gamma = gamma_of_rows(rows)
+        for mu in enumerate_pairings(rows, s):
+            for K in range(1, n + 1):
+                for pi in product(range(K), repeat=n):
+                    if len(set(pi)) == K and all(pi[mu[v]] == pi[gamma[v]] for v in range(n)):
+                        canonical.append(labelled_to_canonical(rows, mu, pi))
+    assert len(canonical) == 26
+    for arr in canonical:
+        _assert_cell_structure(arr)
 
 
 def test_is_irreducible():
@@ -442,6 +491,82 @@ def test_omega_counts_must_be_integers(K, R1, R2, w):
     # the formula and the brute counter disagreed on such values (0 against TypeError)
     with pytest.raises(ValueError, match="K and the mark counts must be integers"):
         SubstructureOmega(K, R1, R2, w)
+
+
+_W = ((1, 1), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "w, r1, r2, phi, message",
+    [
+        (((1.0, 1), (1, 1)), {0}, {0}, {}, "occupancy entries must be integers, got 1.0"),
+        (((True, 1), (1, 1)), {0}, {0}, {}, "occupancy entries must be integers, got True"),
+        ((("1", 1), (1, 1)), {0}, {0}, {}, "occupancy entries must be integers, got '1'"),
+        (((1, 1), 5), {0}, {0}, {}, "occupancy must be a 2 x K matrix of integers"),
+        (((1,), (1,), (1,)), {0}, {0}, {}, "occupancy must be a 2 x K matrix"),
+        (((-1, 2), (1, 0)), {0}, {0}, {}, "occupancy must be non-negative"),
+        (_W, {True}, {0}, {}, "R1 columns must be integers, got True"),
+        (_W, {0}, {1.0}, {}, "R2 columns must be integers, got 1.0"),
+        (_W, set(), {0}, {}, "R1 must mark at least one column"),
+        (_W, {0}, {2}, {}, "R2 contains a column outside 0..1"),
+        (_W, {-1}, {0}, {}, "R1 contains a column outside 0..1"),
+        (_W, 0, {0}, {}, "R1 must be a list of column indices"),
+        (_W, [[1]], {0}, {}, "R1 columns must be integers, got [1]"),
+        (_W, {0}, {0}, None, "phi must map columns to columns"),
+        (_W, {0}, {0}, 0, "phi must map columns to columns"),
+        (_W, {0}, {0}, {"x": 1}, "arrow tails must be decimal column indices, got 'x'"),
+        (_W, {0}, {0}, {1: 0.0}, "arrow heads must be integers, got 0.0"),
+        (_W, {0}, {0}, {0: 1}, "column 0 is marked in row 1 and cannot hold an arrow tail"),
+        (((1, 1, 1), (1, 1, 1)), {0}, {0}, ((1, 0), (1, 2)), "each column may carry at most one arrow tail"),
+        (_W, {0}, {0}, {1: 2}, "arrow (1, 2) out of range"),
+        (((1, 1), (1, 0)), {0}, {0}, {}, "both rows must carry the same number of vertices"),
+        (((), ()), {0}, {0}, {}, "need at least one column"),
+    ],
+)
+def test_gamma_rejects_malformed_fields_with_its_message(w, r1, r2, phi, message):
+    with pytest.raises(ValueError) as caught:
+        SubstructureGamma(w, r1, r2, phi)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "w, pairing, message",
+    [
+        (((1,), (1,)), 3, "pairing must be a sequence of slot indices"),
+        (((1,), (1,)), (1,), "pairing covers 1 slots, expected 2"),
+        (((1,), (1,)), (0, 1), "pairing must be a fixed-point-free involution on the slots"),
+        (((2,), (1,)), (1, 2, 0), "pairing must be a fixed-point-free involution on the slots"),
+        (((1,), (1,)), (2, 0), "pairing must be a fixed-point-free involution on the slots"),
+        (((1,), (1,)), (-1, 0), "pairing must be a fixed-point-free involution on the slots"),
+    ],
+)
+def test_paired_array_rejects_a_bad_pairing_with_its_message(w, pairing, message):
+    with pytest.raises(ValueError) as caught:
+        PairedArray(w, {0}, {0}, pairing)
+    assert str(caught.value) == message
+
+
+def test_int_subclass_entries_build_the_plain_int_substructure():
+    class Column(int):
+        pass
+
+    plain = SubstructureGamma(((1, 0, 2), (1, 2, 0)), {0}, {1, 2}, {1: 0})
+    sub = SubstructureGamma(
+        ((Column(1), Column(0), Column(2)), (Column(1), 2, 0)),
+        [Column(0)], frozenset([Column(1), 2]), {Column(1): Column(0)},
+    )
+    assert sub == plain
+    assert sub.tails == plain.tails and critical_vertices(sub) == critical_vertices(plain)
+    assert gamma_count_brute(sub) == gamma_count_brute(plain)
+
+
+@pytest.mark.parametrize("row", [0, 3])
+def test_row_must_be_1_or_2(row):
+    g = gamma_of([[1, 1], [1, 1]], {0}, {0})
+    arr = vertical_array([[1, 1], [1, 1]], {0}, {0}, [0, 1])
+    for call in (lambda: open_columns(g, row), lambda: arr.mixed_counts(row)):
+        with pytest.raises(ValueError, match="row must be 1 or 2"):
+            call()
 
 
 def test_gamma_validation():

@@ -23,7 +23,9 @@ from mapenum.arrays import (
 from mapenum.brute import (
     _column_orbits,
     _compositions,
+    _count_forest_matchings,
     _pairing_tally,
+    _sorted_omega_count,
     _surjections,
     _tally_state,
     canonical_array_count_brute,
@@ -636,6 +638,34 @@ def test_omega_brute_matches_checker_count_per_occupancy(K, s):
         for R1 in range(1, K + 1):
             for R2 in range(1, K + 1):
                 assert omega_count_brute(SubstructureOmega(K, R1, R2, w)) == _checker_omega(K, R1, R2, w)
+
+
+def _covering_pair_sum(K, R1, R2, w):
+    """The balanced-occupancy count as one matching walk per covering mark-set pair."""
+    empty = {j for j, count in enumerate(w) if count == 0}
+    return sum(
+        _count_forest_matchings(SubstructureGamma((w, w), r1, r2))
+        for r1 in combinations(range(K), R1)
+        for r2 in combinations(range(K), R2)
+        if empty <= {*r1, *r2}
+    )
+
+
+def test_one_walk_per_mark_orbit_matches_the_covering_pair_sum():
+    cases = 0
+    for K in range(1, 6):
+        for s in range(1, 5):
+            for w in {tuple(sorted(w)) for w in _compositions(s, K)}:
+                for R1 in range(1, K + 1):
+                    for R2 in range(1, K + 1):
+                        assert _sorted_omega_count(K, R1, R2, w) == _covering_pair_sum(K, R1, R2, w)
+                        cases += 1
+    assert cases == 577
+    # 4,032 covering mark-set pairs fall into 13 orbits, one walk each
+    from mapenum.formulas import omega_count_formula
+
+    wide = SubstructureOmega(10, 5, 5, (1, 1, 1) + (0,) * 7)
+    assert omega_count_brute(wide) == omega_count_formula(wide) == 3780
 
 
 def test_canonical_anchors():

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import filterfalse
+from sys import intern
 from typing import AbstractSet, Iterable, Mapping, Sequence, Union
 
 from .exact import _as_int
@@ -266,10 +267,6 @@ class SubstructureGamma(_Cells):
             raise ValueError("both rows must carry the same number of vertices")
         self._store_cells()
 
-    @classmethod
-    def of(cls, w, r1, r2, phi: Mapping[int, int] | None = None) -> "SubstructureGamma":
-        return cls(w, r1, r2, phi or {})
-
     @property
     def s(self) -> int:
         return sum(self.w[0])
@@ -291,7 +288,7 @@ class SubstructureGamma(_Cells):
         w = _as_occupancy(data["w"])
         if len(w[0]) != data["K"]:
             raise ValueError("K does not match the occupancy width")
-        return cls.of(w, data["R1"], data["R2"], data["phi"])
+        return cls(w, data["R1"], data["R2"], data["phi"])
 
 
 @dataclass(frozen=True)
@@ -474,8 +471,7 @@ def is_irreducible(g: SubstructureGamma) -> bool:
     a self-loop t -> t included, has a head that is also a tail, and once
     no head carries a tail no two arrows chain, so the digraph is acyclic.
     """
-    phi = g.phi
-    return not any(head in g.r1 or head in phi for head in phi.values())
+    return not any(h in g.r1 or h in g.tails for _, h in g.arrows)
 
 
 def arrow_cycle(phi: Mapping[int, int]) -> tuple[int, ...]:
@@ -496,15 +492,21 @@ def arrow_cycle(phi: Mapping[int, int]) -> tuple[int, ...]:
     return ()
 
 
+_KINDS = ("a", "abar", "atil", "b", "c", "cbar", "ctil", "d")
+# interned like ColumnTally's field names, which its keyword arguments then
+# match by identity: built names would be compared character by character
+_KIND_FIELDS = tuple(intern(f"{kind}{row}") for kind in _KINDS for row in (1, 2))
+
+
 @dataclass(frozen=True)
 class ColumnTally:
     """Column-type census of an irreducible substructure.
 
     ``A`` counts the columns unmarked in both rows (outside the arrow
     tails); the remaining fields are per-row vertex totals of the eight
-    column types: plain/bar/tilde variants for heads-into-unmarked (a) and
-    heads-into-row-2-marked (c) targets, plus b (row 1 marked), c (row 2
-    marked), and d (both marked).
+    column types in ``_KINDS``: plain/bar/tilde variants for heads-into-
+    unmarked (a) and heads-into-row-2-marked (c) targets, plus b (row 1
+    marked), c (row 2 marked), and d (both marked).
     """
 
     A: int
@@ -526,36 +528,30 @@ class ColumnTally:
     d2: int = 0
 
     def row_total(self, row: int) -> int:
-        if row == 1:
-            return self.a1 + self.abar1 + self.atil1 + self.b1 + self.c1 + self.cbar1 + self.ctil1 + self.d1
-        return self.a2 + self.abar2 + self.atil2 + self.b2 + self.c2 + self.cbar2 + self.ctil2 + self.d2
+        if row not in (1, 2):
+            raise ValueError("row must be 1 or 2")
+        return sum(getattr(self, name) for name in _KIND_FIELDS[row - 1::2])
 
 
 def classify_columns(g: SubstructureGamma) -> ColumnTally:
     """Partition the columns of an irreducible substructure into the eight types."""
     if not is_irreducible(g):
         raise ValueError("column classification requires an irreducible substructure")
-    phi = g.phi
-    tails = set(phi)
     w1, w2 = g.w
-    acc = {name: 0 for name in (
-        "a1", "a2", "abar1", "abar2", "atil1", "atil2", "b1", "b2",
-        "c1", "c2", "cbar1", "cbar2", "ctil1", "ctil2", "d1", "d2",
-    )}
+    acc = dict.fromkeys(_KIND_FIELDS, 0)
     A = 0
     # mark-pattern type of each non-tail column, needed to type the tails
     plain_type: dict[int, str] = {}
     for j in range(g.K):
-        if j in tails:
+        if j in g.tails:
             continue
         m1, m2 = j in g.r1, j in g.r2
-        plain_type[j] = "d" if (m1 and m2) else "b" if m1 else "c" if m2 else "a"
-    for j, kind in plain_type.items():
+        kind = plain_type[j] = "d" if (m1 and m2) else "b" if m1 else "c" if m2 else "a"
         if kind == "a":
             A += 1
         acc[kind + "1"] += w1[j]
         acc[kind + "2"] += w2[j]
-    for t, head in phi.items():
+    for t, head in g.arrows:
         target = plain_type[head]  # irreducible: head is unmarked row 1, so 'a' or 'c'
         deco = "til" if t in g.r2 else "bar"
         acc[target + deco + "1"] += w1[t]

@@ -421,11 +421,17 @@ def _sorted_omega_count(K: int, R1: int, R2: int, w: tuple[int, ...]) -> int:
     or in neither (e), and it holds prod multinomial(a, b, c, e) pairs. So
     the walk runs once per choice of (a, b, c, e) for each block, with
     sum(a + c) = R1, sum(b + c) = R2 and e = 0 in the vertex-free block,
-    on the pair that marks each block's first columns in that order.
+    on the pair that marks each block's first columns in that order. A
+    block's choices are drawn with a + c <= R1 and b + c <= R2 from the
+    start, in the order of its 4-part compositions, so a wide block costs
+    what its marks allow rather than cubic time in its width.
     """
     blocks = [(count, len(list(run))) for count, run in groupby(w)]
-    choices = [[(a, b, c, e) for a, b, c, e in _compositions(n, 4)
-                if (count or not e) and a + c <= R1 and b + c <= R2] for count, n in blocks]
+    choices = [[(a, b, c, n - a - b - c)
+                for a in range(min(R1, n) + 1)
+                for b in range(min(R2, n - a) + 1)
+                for c in range(min(R1 - a, R2 - b, n - a - b) + 1)
+                if count or a + b + c == n] for count, n in blocks]
     total = 0
     for split in product(*choices):
         if sum(a + c for a, _, c, _ in split) != R1 or sum(b + c for _, b, c, _ in split) != R2:

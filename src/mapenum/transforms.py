@@ -18,7 +18,6 @@ from .arrays import (
     check_full,
     critical_vertices,
     is_irreducible,
-    permute_columns,
 )
 from .exact import Pairing, _as_int, gamma_of_rows
 
@@ -43,7 +42,7 @@ def arrow_simplify_to_mark(g: SubstructureGamma, X: int) -> SubstructureGamma:
     if phi[X] not in g.r1:
         raise ValueError(f"arrow target {phi[X]} is not marked in row 1")
     del phi[X]
-    return SubstructureGamma(g.w, g.r1 | {X}, g.r2, tuple(sorted(phi.items())))
+    return SubstructureGamma(g.w, g.r1 | {X}, g.r2, phi)
 
 
 def arrow_simplify_retarget(g: SubstructureGamma, X: int) -> SubstructureGamma:
@@ -59,7 +58,7 @@ def arrow_simplify_retarget(g: SubstructureGamma, X: int) -> SubstructureGamma:
     if Y not in phi:
         raise ValueError(f"arrow target {Y} carries no arrow itself")
     phi[X] = phi[Y]
-    return SubstructureGamma(g.w, g.r1, g.r2, tuple(sorted(phi.items())))
+    return SubstructureGamma(g.w, g.r1, g.r2, phi)
 
 
 def irreducible_closure(g: SubstructureGamma) -> Union[SubstructureGamma, CycleDetected]:
@@ -111,21 +110,17 @@ def column_pointing(g: SubstructureGamma, X: int, Y: int) -> SubstructureGamma:
     new_w2 = list(w2)
     new_w1[X] -= 1
     new_w2[Y] -= 1
-    return SubstructureGamma(
-        (tuple(new_w1), tuple(new_w2)),
-        g.r1,
-        g.r2,
-        tuple(sorted(list(g.arrows) + [(X, Y)])),
-    )
+    return SubstructureGamma((new_w1, new_w2), g.r1, g.r2, (*g.arrows, (X, Y)))
 
 
 def column_merging(g: SubstructureGamma, X: int, Y: int) -> SubstructureGamma:
     """Merge column Y into column X along a fixed critical-critical pair.
 
     Requires the full condition, a critical rightmost vertex in cell (1, X),
-    and a critical rightmost vertex in cell (2, Y). Y is first relabelled to
-    the last column, then removed: its vertex counts fold into X (minus the
-    merged pair), its row-1 mark or outgoing arrow moves to X, and arrows
+    and a critical rightmost vertex in cell (2, Y). Old columns map to new
+    ones by ``where``: the last column takes Y's place and Y folds into X,
+    the others keep their index. Y's vertex counts add to X's minus the
+    merged pair, its row-1 mark or outgoing arrow moves to X, and arrows
     into Y are redirected into X. The restricted array count is preserved
     and the result is again full.
     """
@@ -139,37 +134,20 @@ def column_merging(g: SubstructureGamma, X: int, Y: int) -> SubstructureGamma:
         raise ValueError(f"cell (1, {X}) does not hold a critical vertex")
     if (2, Y) not in crit:
         raise ValueError(f"cell (2, {Y}) does not hold a critical vertex")
-    K = g.K
-    last = K - 1
-    if Y != last:
-        swap = list(range(K))
-        swap[Y], swap[last] = last, Y
-        g = permute_columns(g, swap)
-        if X == last:
-            X = Y
-        Y = last
-    w1 = list(g.w[0])
-    w2 = list(g.w[1])
-    w1[X] += w1[Y] - 1
-    w2[X] += w2[Y] - 1
-    r1 = set(g.r1)
-    if Y in r1:
-        r1.discard(Y)
-        r1.add(X)
-    r2 = set(g.r2)  # Y cannot be marked in row 2 (its vertex is critical)
-    phi = g.phi
-    new_phi = {}
-    for t, h in phi.items():
-        if t == Y:
-            continue
-        new_phi[t] = X if h == Y else h
-    if Y in phi:
-        new_phi[X] = X if phi[Y] == Y else phi[Y]
+    last = g.K - 1
+    where = list(range(g.K))
+    where[last] = Y
+    where[Y] = where[X]
+    w = [[0] * last, [0] * last]
+    for row, merged in zip(g.w, w):
+        for j, count in enumerate(row):
+            merged[where[j]] += count
+        merged[where[X]] -= 1
     out = SubstructureGamma(
-        (tuple(w1[:last]), tuple(w2[:last])),
-        frozenset(r1),
-        frozenset(r2),
-        tuple(sorted(new_phi.items())),
+        w,
+        frozenset(map(where.__getitem__, g.r1)),
+        frozenset(map(where.__getitem__, g.r2)),  # Y is unmarked in row 2: its vertex is critical
+        [(where[t], where[h]) for t, h in g.arrows],
     )
     if not check_full(out):
         raise ValueError("column merging lost the full condition")

@@ -210,7 +210,7 @@ def random_full_irreducible(
             s = rng.randint(minimum, max_s)
         w1 = _top_up(rng, [1 if j in need1 else 0 for j in range(K)], s)
         w2 = _top_up(rng, [1 if j in need2 else 0 for j in range(K)], s)
-        return SubstructureGamma((w1, w2), r1, r2, tuple(sorted(phi.items())))
+        return SubstructureGamma((w1, w2), r1, r2, phi)
 
 
 def random_balanced_noarrows(
@@ -233,7 +233,7 @@ def _random_gamma(rng: random.Random, K: int, s: int, phi: dict[int, int],
                   r1: frozenset[int], r2: frozenset[int]) -> SubstructureGamma:
     w1 = _top_up(rng, [0] * K, s)
     w2 = _top_up(rng, [0] * K, s)
-    return SubstructureGamma((w1, w2), r1, r2, tuple(sorted(phi.items())))
+    return SubstructureGamma((w1, w2), r1, r2, phi)
 
 
 def sweep_gamma(
@@ -354,7 +354,7 @@ def _draw_merging(rng: random.Random) -> _LemmaDraw:
         s = rng.randint(max(len(need1), len(need2), 1), 6)
         w1 = _top_up(rng, [1 if j in need1 else 0 for j in range(K)], s)
         w2 = _top_up(rng, [1 if j in need2 else 0 for j in range(K)], s)
-        g = SubstructureGamma((w1, w2), r1, r2, tuple(sorted(phi.items())))
+        g = SubstructureGamma((w1, w2), r1, r2, phi)
         crit = arrays.critical_vertices(g)
         xs = [j for j in range(K) if (1, j) in crit]
         ys = [j for j in range(K) if (2, j) in crit]

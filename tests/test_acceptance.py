@@ -89,7 +89,7 @@ def test_criterion_08_substructure_formula():
         assert all(branches[b] > 0 for b in ("zero", "edge", "general")), branches
         # base fixture: every cell marked forces all s! matchings
         for s in (1, 2, 3):
-            g = SubstructureGamma.of([[1] * s, [1] * s], set(range(s)), set(range(s)), {})
+            g = SubstructureGamma([[1] * s, [1] * s], set(range(s)), set(range(s)), {})
             assert gamma_count_formula(g) == factorial(s)
 
 

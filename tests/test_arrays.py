@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mapenum.arrays import (
+    ColumnTally,
     PairedArray,
     SubstructureGamma,
     SubstructureOmega,
@@ -29,7 +30,7 @@ from mapenum.verify import gs_parameter_tuples
 
 
 def gamma_of(w, r1, r2, phi=None):
-    return SubstructureGamma.of(w, r1, r2, phi or {})
+    return SubstructureGamma(w, r1, r2, phi or {})
 
 
 # ----------------------------------------------------------------------
@@ -435,6 +436,93 @@ def test_classify_row_totals_match_s():
         assert t.row_total(2) == g.s
 
 
+def _is_irreducible_reference(g):
+    """``is_irreducible`` as first written, on the rebuilt arrow dict."""
+    phi = g.phi
+    return not any(head in g.r1 or head in phi for head in phi.values())
+
+
+def _classify_reference(g):
+    """``classify_columns`` as first written, with its own tail set and names."""
+    if not _is_irreducible_reference(g):
+        raise ValueError("column classification requires an irreducible substructure")
+    phi = g.phi
+    tails = set(phi)
+    w1, w2 = g.w
+    acc = {name: 0 for name in (
+        "a1", "a2", "abar1", "abar2", "atil1", "atil2", "b1", "b2",
+        "c1", "c2", "cbar1", "cbar2", "ctil1", "ctil2", "d1", "d2",
+    )}
+    A = 0
+    plain_type = {}
+    for j in range(g.K):
+        if j in tails:
+            continue
+        m1, m2 = j in g.r1, j in g.r2
+        plain_type[j] = "d" if (m1 and m2) else "b" if m1 else "c" if m2 else "a"
+    for j, kind in plain_type.items():
+        if kind == "a":
+            A += 1
+        acc[kind + "1"] += w1[j]
+        acc[kind + "2"] += w2[j]
+    for t, head in phi.items():
+        target = plain_type[head]
+        deco = "til" if t in g.r2 else "bar"
+        acc[target + deco + "1"] += w1[t]
+        acc[target + deco + "2"] += w2[t]
+    return ColumnTally(A=A, **acc)
+
+
+def _classify_outcome(classify, g):
+    try:
+        return classify(g)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def test_classify_columns_matches_the_reference_on_sweep_draws():
+    from mapenum import arrays, brute, formulas, verify
+
+    drawn = []
+    classify = arrays.classify_columns
+
+    def record(g):
+        drawn.append(g)
+        return classify(g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arrays, "classify_columns", record)
+        mp.setattr(brute, "gamma_count_brute", lambda g: 0)
+        mp.setattr(formulas, "gamma_count_formula", lambda g: 0)
+        for seed in range(3):
+            verify.sweep_gamma(600, seed)
+    assert len(drawn) == 1800
+    assert any(g.arrows for g in drawn)
+    for g in drawn:
+        assert is_irreducible(g) and _is_irreducible_reference(g)
+        assert classify(g) == _classify_reference(g)
+
+
+def test_small_arrow_maps_match_the_references():
+    # every arrow map on 1-3 columns of one vertex each, under every pair of marks
+    seen = classified_with_arrows = 0
+    for K in range(1, 4):
+        subsets = [frozenset(j for j in range(K) if mask >> j & 1) for mask in range(1, 1 << K)]
+        w = ((1,) * K, (1,) * K)
+        for r1, r2 in product(subsets, subsets):
+            free = [j for j in range(K) if j not in r1]
+            for heads in product([None, *range(K)], repeat=len(free)):
+                phi = {t: h for t, h in zip(free, heads) if h is not None}
+                g = SubstructureGamma(w, r1, r2, phi)
+                pairs = SubstructureGamma(w, r1, r2, tuple(sorted(phi.items())))
+                assert g == pairs and g.to_json() == pairs.to_json()
+                assert is_irreducible(g) == _is_irreducible_reference(g)
+                assert _classify_outcome(classify_columns, g) == _classify_outcome(_classify_reference, g)
+                seen += 1
+                classified_with_arrows += bool(phi) and is_irreducible(g)
+    assert (seen, classified_with_arrows) == (449, 42)
+
+
 def test_irreducible_full_heads_have_critical_row1_vertex():
     import random
 
@@ -564,7 +652,9 @@ def test_int_subclass_entries_build_the_plain_int_substructure():
 def test_row_must_be_1_or_2(row):
     g = gamma_of([[1, 1], [1, 1]], {0}, {0})
     arr = vertical_array([[1, 1], [1, 1]], {0}, {0}, [0, 1])
-    for call in (lambda: open_columns(g, row), lambda: arr.mixed_counts(row)):
+    tally = classify_columns(g)
+    for call in (lambda: open_columns(g, row), lambda: arr.mixed_counts(row),
+                 lambda: tally.row_total(row)):
         with pytest.raises(ValueError, match="row must be 1 or 2"):
             call()
 

@@ -331,22 +331,22 @@ def test_surjection_blocks_are_the_cycles_of_mu_gamma_inverse():
 
 
 def test_gamma_count_all_marked_is_factorial():
-    g = SubstructureGamma.of([[1, 1, 1], [1, 1, 1]], {0, 1, 2}, {0, 1, 2}, {})
+    g = SubstructureGamma([[1, 1, 1], [1, 1, 1]], {0, 1, 2}, {0, 1, 2}, {})
     assert gamma_count_brute(g) == 6
 
 
 def test_gamma_count_self_loop_column_prunes():
-    g = SubstructureGamma.of([[1, 1], [1, 1]], {1}, {1}, {})
+    g = SubstructureGamma([[1, 1], [1, 1]], {1}, {1}, {})
     assert gamma_count_brute(g) == 1
 
 
 def test_gamma_count_cyclic_phi_is_zero():
-    g = SubstructureGamma.of([[0, 1], [1, 0]], {0}, {0}, {1: 1})
+    g = SubstructureGamma([[0, 1], [1, 0]], {0}, {0}, {1: 1})
     assert gamma_count_brute(g) == 0
 
 
 def test_gamma_count_with_pair_partitions_total():
-    g = SubstructureGamma.of([[2, 1], [1, 2]], {0}, {1}, {})
+    g = SubstructureGamma([[2, 1], [1, 2]], {0}, {1}, {})
     total = gamma_count_brute(g)
     # fixing the partner of the rightmost slot of cell (1, 0) over all row-2
     # slots partitions the matchings
@@ -402,9 +402,9 @@ def test_gamma_count_matches_checker_based_enumeration():
     s = 3, one with a row-2 group of three interchangeable slots.
     """
     cases = [
-        SubstructureGamma.of([[1, 1, 1], [2, 1, 0]], {2}, {0, 1}, {}),
-        SubstructureGamma.of([[1, 1, 1], [0, 3, 0]], {2}, {1}, {0: 1}),
-        SubstructureGamma.of([[0, 2, 1], [1, 0, 2]], {0}, {2}, {1: 2}),
+        SubstructureGamma([[1, 1, 1], [2, 1, 0]], {2}, {0, 1}, {}),
+        SubstructureGamma([[1, 1, 1], [0, 3, 0]], {2}, {1}, {0: 1}),
+        SubstructureGamma([[0, 2, 1], [1, 0, 2]], {0}, {2}, {1: 2}),
     ]
     for K, s in product((1, 2, 3), (1, 2, 3)):
         if K < 3 or s < 3:
@@ -499,7 +499,7 @@ def test_forced_counts_of_a_row_one_slot_sum_to_the_total(monkeypatch):
 )
 def test_gamma_count_with_pair_rejects_slots_outside_the_rows(v, u, message):
     # a negative column would otherwise wrap around to column K - 1
-    g = SubstructureGamma.of([[1, 1], [1, 1]], {0}, {0}, {})
+    g = SubstructureGamma([[1, 1], [1, 1]], {0}, {0}, {})
     with pytest.raises(ValueError, match=message):
         gamma_count_brute_with_pair(g, v, u)
 
@@ -666,6 +666,21 @@ def test_one_walk_per_mark_orbit_matches_the_covering_pair_sum():
 
     wide = SubstructureOmega(10, 5, 5, (1, 1, 1) + (0,) * 7)
     assert omega_count_brute(wide) == omega_count_formula(wide) == 3780
+
+
+def test_wide_vertex_free_block_walks_only_the_choices_its_marks_allow():
+    # 299 vertex-free columns with one mark per row cannot all be covered
+    from time import perf_counter
+
+    from mapenum.formulas import omega_count_formula
+
+    wide = SubstructureOmega(300, 1, 1, (1,) + (0,) * 299)
+    start = perf_counter()
+    brute = omega_count_brute(wide)
+    middle = perf_counter()
+    formula = omega_count_formula(wide)
+    print(f"K = 300: brute {(middle - start) * 1e3:.2f} ms, formula {(perf_counter() - middle) * 1e3:.2f} ms")
+    assert brute == formula == 0
 
 
 def test_canonical_anchors():

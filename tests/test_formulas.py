@@ -188,57 +188,57 @@ def test_vertical_formula_allows_marks_beyond_columns():
 
 def test_gamma_formula_base_case_all_marked():
     for s in (1, 2, 3):
-        g = SubstructureGamma.of([[s], [s]], {0}, {0}, {})
+        g = SubstructureGamma([[s], [s]], {0}, {0}, {})
         assert gamma_count_formula(g) == factorial(s)
-    g = SubstructureGamma.of([[1, 1, 1], [1, 1, 1]], {0, 1, 2}, {0, 1, 2}, {})
+    g = SubstructureGamma([[1, 1, 1], [1, 1, 1]], {0, 1, 2}, {0, 1, 2}, {})
     assert gamma_count_formula(g) == 6
 
 
 def test_gamma_formula_edge_branch():
-    g = SubstructureGamma.of([[1, 1], [1, 1]], {1}, {1}, {})
+    g = SubstructureGamma([[1, 1], [1, 1]], {1}, {1}, {})
     assert gamma_count_formula(g) == 1 == gamma_count_brute(g)
 
 
 def test_gamma_formula_zero_branch():
-    g = SubstructureGamma.of([[1, 0], [1, 0]], {1}, {1}, {})
+    g = SubstructureGamma([[1, 0], [1, 0]], {1}, {1}, {})
     assert gamma_count_formula(g) == 0 == gamma_count_brute(g)
 
 
 def test_gamma_formula_rejects_bad_input():
-    reducible = SubstructureGamma.of([[1, 1], [1, 1]], {1}, {0}, {0: 1})
+    reducible = SubstructureGamma([[1, 1], [1, 1]], {1}, {0}, {0: 1})
     with pytest.raises(ValueError):
         gamma_count_formula(reducible)
-    not_full = SubstructureGamma.of([[2, 0], [2, 0]], {1}, {0}, {})  # cell (2,1) empty, unmarked
+    not_full = SubstructureGamma([[2, 0], [2, 0]], {1}, {0}, {})  # cell (2,1) empty, unmarked
     with pytest.raises(ValueError):
         gamma_count_formula(not_full)
 
 
 def test_gamma_formula_unbalanced_full_instance():
-    g = SubstructureGamma.of([[0, 2], [1, 1]], {0}, {1}, {})
+    g = SubstructureGamma([[0, 2], [1, 1]], {0}, {1}, {})
     assert gamma_count_formula(g) == 1 == gamma_count_brute(g)
 
 
 def test_noarrows_anchors():
     for s in (1, 2, 3, 4):
-        g = SubstructureGamma.of([[s], [s]], {0}, {0}, {})
+        g = SubstructureGamma([[s], [s]], {0}, {0}, {})
         assert gamma_count_formula_noarrows(g) == factorial(s)
     for s in (1, 2, 3):
-        g = SubstructureGamma.of([[0, s], [0, s]], {0}, {0}, {})
+        g = SubstructureGamma([[0, s], [0, s]], {0}, {0}, {})
         assert gamma_count_formula_noarrows(g) == 0 == gamma_count_brute(g)
 
 
 def test_noarrows_rejects_arrows():
-    g = SubstructureGamma.of([[1, 1], [1, 1]], {1}, {1}, {0: 1})
+    g = SubstructureGamma([[1, 1], [1, 1]], {1}, {1}, {0: 1})
     with pytest.raises(ValueError):
         gamma_count_formula_noarrows(g)
 
 
 def test_noarrows_nonfull_instances():
     # empty unmarked column is harmless
-    g = SubstructureGamma.of([[2, 0], [2, 0]], {0}, {0}, {})
+    g = SubstructureGamma([[2, 0], [2, 0]], {0}, {0}, {})
     assert gamma_count_formula_noarrows(g) == 2 == gamma_count_brute(g)
     # empty cell in a singly marked column
-    g2 = SubstructureGamma.of([[1, 0], [1, 0]], {0}, {1}, {})
+    g2 = SubstructureGamma([[1, 0], [1, 0]], {0}, {1}, {})
     assert gamma_count_formula_noarrows(g2) == 0 == gamma_count_brute(g2)
 
 

@@ -4,11 +4,13 @@ import pytest
 
 from mapenum.arrays import (
     SubstructureGamma,
+    _as_column,
     check_balance,
     check_forest,
     check_full,
     check_nonempty,
     classify_columns,
+    critical_vertices,
     is_irreducible,
     permute_columns,
 )
@@ -31,7 +33,7 @@ from mapenum.transforms import (
 
 
 def gamma_of(w, r1, r2, phi=None):
-    return SubstructureGamma.of(w, r1, r2, phi or {})
+    return SubstructureGamma(w, r1, r2, phi or {})
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +235,104 @@ def test_column_merging_redirects_arrows():
     out = column_merging(g, 0, 2)
     assert out.phi == {2: 0}  # the arrow into the removed column lands on X
     assert check_full(out)
+
+
+def _merging_reference(g, X, Y):
+    """Column merging as first written: swap Y with the last column through
+    ``permute_columns``, then fold the last column into X and drop it."""
+    X, Y = _as_column(X, g.K, "X"), _as_column(Y, g.K, "Y")
+    if X == Y:
+        raise ValueError("column merging needs two distinct columns")
+    if not check_full(g):
+        raise ValueError("column merging requires the substructure to satisfy the full condition")
+    crit = critical_vertices(g)
+    if (1, X) not in crit:
+        raise ValueError(f"cell (1, {X}) does not hold a critical vertex")
+    if (2, Y) not in crit:
+        raise ValueError(f"cell (2, {Y}) does not hold a critical vertex")
+    K = g.K
+    last = K - 1
+    if Y != last:
+        swap = list(range(K))
+        swap[Y], swap[last] = last, Y
+        g = permute_columns(g, swap)
+        if X == last:
+            X = Y
+        Y = last
+    w1 = list(g.w[0])
+    w2 = list(g.w[1])
+    w1[X] += w1[Y] - 1
+    w2[X] += w2[Y] - 1
+    r1 = set(g.r1)
+    if Y in r1:
+        r1.discard(Y)
+        r1.add(X)
+    phi = g.phi
+    new_phi = {}
+    for t, h in phi.items():
+        if t == Y:
+            continue
+        new_phi[t] = X if h == Y else h
+    if Y in phi:
+        new_phi[X] = X if phi[Y] == Y else phi[Y]
+    out = SubstructureGamma(
+        (tuple(w1[:last]), tuple(w2[:last])),
+        frozenset(r1),
+        frozenset(g.r2),
+        tuple(sorted(new_phi.items())),
+    )
+    if not check_full(out):
+        raise ValueError("column merging lost the full condition")
+    return out
+
+
+def _merging_outcome(merge, g, X, Y):
+    """The merged substructure with its JSON, or the error's type and message."""
+    try:
+        out = merge(g, X, Y)
+    except ValueError as err:
+        return type(err), str(err)
+    return out, out.to_json()
+
+
+def test_column_merging_matches_the_reference_on_every_lemma_draw():
+    from mapenum import brute, transforms, verify
+
+    drawn = []
+    merging = transforms.column_merging
+
+    def record(g, X, Y):
+        drawn.append((g, X, Y))
+        return merging(g, X, Y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(brute, "gamma_count_brute", lambda g, *pair: 0)
+        mp.setattr(brute, "gamma_count_brute_with_pair", lambda g, *pair: 0)
+        mp.setattr(transforms, "column_merging", record)
+        for seed in range(3):
+            assert verify.sweep_lemmas(300, seed) == []
+    assert len(drawn) == 900
+    assert any(g.arrows for g, _, _ in drawn)
+    for g, X, Y in drawn:
+        assert _merging_outcome(merging, g, X, Y) == _merging_outcome(_merging_reference, g, X, Y)
+
+
+def test_column_merging_matches_the_reference_on_small_full_substructures():
+    # every full arrow-free substructure with K, s <= 3, at every column pair
+    critical_pairs = 0
+    for K in range(1, 4):
+        subsets = [frozenset(j for j in range(K) if mask >> j & 1) for mask in range(1, 1 << K)]
+        for s in range(4):
+            rows = [w for w in product(range(s + 1), repeat=K) if sum(w) == s]
+            for w1, w2, r1, r2 in product(rows, rows, subsets, subsets):
+                g = SubstructureGamma((w1, w2), r1, r2, ())
+                if not check_full(g):
+                    continue
+                for X, Y in product(range(K), repeat=2):
+                    new = _merging_outcome(column_merging, g, X, Y)
+                    assert new == _merging_outcome(_merging_reference, g, X, Y)
+                    critical_pairs += isinstance(new[0], SubstructureGamma)
+    assert critical_pairs == 1048
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from itertools import filterfalse
 from sys import intern
 from typing import AbstractSet, Iterable, Mapping, Sequence, Union
 
-from .exact import _as_int
+from .exact import _as_int, _checked_ints
 
 
 def _load_spec(text: str, kind: str, fields: Mapping[str, type], **defaults) -> dict:
@@ -31,22 +31,6 @@ def _load_spec(text: str, kind: str, fields: Mapping[str, type], **defaults) -> 
         if not isinstance(value, typ) or isinstance(value, bool):
             raise ValueError(f'{kind} spec needs a "{key}" field of type {typ.__name__}')
     return data
-
-
-_PLAIN_INT = frozenset([int])
-
-
-def _checked_ints(values: Union[tuple, frozenset], label: str) -> Union[tuple, frozenset]:
-    """``values`` itself once every entry passes ``_as_int``.
-
-    The whole value is tested at once; only when some entry is not a plain
-    int does ``_as_int`` run per entry, to reject it or accept an int
-    subclass.
-    """
-    if not _PLAIN_INT.issuperset(map(type, values)):
-        for x in values:
-            _as_int(x, label)
-    return values
 
 
 def _as_occupancy(w) -> tuple[tuple[int, ...], tuple[int, ...]]:

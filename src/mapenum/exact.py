@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, Union
 
 
 # ----------------------------------------------------------------------
@@ -57,6 +57,22 @@ def _as_int(x, label: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"{label} must be integers, got {x!r}")
     return x
+
+
+_PLAIN_INT = frozenset([int])
+
+
+def _checked_ints(values: Union[tuple, frozenset], label: str) -> Union[tuple, frozenset]:
+    """``values`` itself once every entry passes ``_as_int``.
+
+    The whole value is tested at once; only when some entry is not a plain
+    int does ``_as_int`` run per entry, to reject it or accept an int
+    subclass.
+    """
+    if not _PLAIN_INT.issuperset(map(type, values)):
+        for x in values:
+            _as_int(x, label)
+    return values
 
 
 def cycle_count(perm: Sequence[int]) -> int:
@@ -164,13 +180,12 @@ class CycleCountVector:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for x in (self.d, *self.counts):
-            _as_int(x, "d and the counts")
+        _checked_ints((self.d, *self.counts), "d and the counts")
         if self.d < 0:
             raise ValueError(f"d must be non-negative, got {self.d}")
         if len(self.counts) != self.d + 1:
             raise ValueError(f"need d+1 = {self.d + 1} entries, got {len(self.counts)}")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise ValueError("counts must be non-negative")
 
     def a(self, L: int) -> int:
@@ -210,13 +225,19 @@ class BinomialPoly:
     coeffs: dict[int, int]
 
     def __post_init__(self) -> None:
-        clean = {}
-        for k, c in self.coeffs.items():
-            if _as_int(k, "binomial-basis indices") < 1:
-                raise ValueError(f"binomial-basis index must be an int >= 1, got {k!r}")
-            if _as_int(c, "binomial-basis coefficients") != 0:
-                clean[k] = c
-        self.coeffs = clean
+        coeffs = self.coeffs
+        # indices and coefficients are tested as whole values; only when one
+        # fails does the loop run, to raise on the first bad entry in order
+        if not (
+            _PLAIN_INT.issuperset(map(type, coeffs))
+            and _PLAIN_INT.issuperset(map(type, coeffs.values()))
+            and min(coeffs, default=1) >= 1
+        ):
+            for k, c in coeffs.items():
+                if _as_int(k, "binomial-basis indices") < 1:
+                    raise ValueError(f"binomial-basis index must be an int >= 1, got {k!r}")
+                _as_int(c, "binomial-basis coefficients")
+        self.coeffs = {k: c for k, c in coeffs.items() if c}
 
     def eval(self, x: int) -> int:
         return sum(c * binomial(x, k) for k, c in self.coeffs.items())

@@ -18,22 +18,34 @@ from .arrays import (
     SubstructureGamma, SubstructureOmega, check_full, classify_columns, critical_vertices,
     is_irreducible,
 )
-from .exact import BinomialPoly, CycleCountVector, _as_int, binomial, double_factorial, multinomial
+from .exact import BinomialPoly, CycleCountVector, _as_int, double_factorial, multinomial
 
 
-def _as_count(num: int, den: int, context: str) -> int:
-    """num / den for den > 0; raises unless it is an exact non-negative integer."""
+def _as_count(num: int, den: int, context: str, *args) -> int:
+    """num / den for den > 0; raises unless it is an exact non-negative integer.
+
+    The error names ``context.format(*args)``, formatted only when it raises.
+    """
     quotient, remainder = divmod(num, den)
     if remainder:
-        raise ArithmeticError(f"{context}: expected an exact integer, got {num}/{den}")
+        raise ArithmeticError(
+            f"{context.format(*args)}: expected an exact integer, got {num}/{den}"
+        )
     if quotient < 0:
-        raise ArithmeticError(f"{context}: expected a non-negative count, got {quotient}")
+        raise ArithmeticError(
+            f"{context.format(*args)}: expected a non-negative count, got {quotient}"
+        )
     return quotient
 
 
 def _factorials(n: int) -> list[int]:
     """[0!, 1!, ..., n!]."""
     return list(accumulate(range(1, n + 1), mul, initial=1))
+
+
+def _falling(n: int, top: int) -> list[int]:
+    """[perm(n, 0), perm(n, 1), ..., perm(n, top)] for n >= 0; 0 once t > n."""
+    return list(accumulate(range(n, n - top, -1), mul, initial=1))
 
 
 # ----------------------------------------------------------------------
@@ -49,9 +61,7 @@ def hz_series(q: int) -> BinomialPoly:
     if _as_int(q, "parameters") < 1:
         raise ValueError("q must be a positive integer")
     lead = double_factorial(2 * q - 1)
-    return BinomialPoly(
-        {k: lead * 2 ** (k - 1) * binomial(q, k - 1) for k in range(1, q + 2)}
-    )
+    return BinomialPoly({k: lead * comb(q, k - 1) << (k - 1) for k in range(1, q + 2)})
 
 
 def gs_series(q1: int, q2: int, s: int) -> BinomialPoly:
@@ -88,15 +98,15 @@ def gs_series(q1: int, q2: int, s: int) -> BinomialPoly:
         for j in range(q2 + 1):
             b = q2 - j
             m = a + b + s
-            weight = fact[d] // (fact[i] * fact[j] * fact[m]) * 2**m
+            weight = fact[d] // (fact[i] * fact[j] * fact[m]) << m
             for r in range(max(a, b), m):  # r = k - 1
                 delta = comb(r, a) * comb(r, b) - comb(r, a + s) * comb(r, b + s)
                 nums[r + 1] += weight * comb(m, r) * delta
     lead = factorial(p1) * factorial(p2)
-    den = 2**d * factorial(d)
+    den = fact[d] << d
     return BinomialPoly(
         {
-            k: _as_count(lead * nums[k], den, f"gs_series coefficient at k={k}")
+            k: _as_count(lead * nums[k], den, "gs_series coefficient at k={}", k)
             for k in range(1, d + 2)
         }
     )
@@ -108,9 +118,10 @@ def gs_series_simplified(q1: int, q2: int, s: int) -> BinomialPoly:
     Sums over t1 <= q1+s and t2 <= q2+s with t1 + t2 <= d, contributing to
     C(x, d-t1-t2+1). Over the denominator 2^d d! q1! q2! (q1+s)! (q2+s)! the
     bracket of reciprocal factorials is a difference of products of falling
-    factorials perm(n, t), which are 0 for t > n. Every factorial taken,
-    (d-t1)!, (d-t2)! and the multinomial's, has its argument in 0..d, since
-    t1, t2 <= d; they come from one table per call.
+    factorials perm(n, t), which are 0 for t > n; they come from four rows
+    per call, one per n in q1+s, q2+s, q1, q2. Every factorial taken,
+    (d-t1)!, (d-t2)!, the multinomial's and the denominator's, has its
+    argument in 0..d, since t1, t2 <= d; they come from one table per call.
     """
     q1, q2, s = (_as_int(x, "parameters") for x in (q1, q2, s))
     if s < 1:
@@ -120,21 +131,22 @@ def gs_series_simplified(q1: int, q2: int, s: int) -> BinomialPoly:
     p1, p2 = 2 * q1 + s, 2 * q2 + s
     d = q1 + q2 + s
     fact = _factorials(d)
+    long1, short1 = _falling(q1 + s, q1 + s), _falling(q1, q1 + s)
+    long2, short2 = _falling(q2 + s, q2 + s), _falling(q2, q2 + s)
     nums = [0] * (d + 2)
     for t1 in range(q1 + s + 1):
         for t2 in range(min(q2 + s, d - t1) + 1):
-            bracket = perm(q1 + s, t1) * perm(q2 + s, t2) - perm(q1, t1) * perm(q2, t2)
+            bracket = long1[t1] * long2[t2] - short1[t1] * short2[t2]
             if not bracket:
                 continue
             m = d - t1 - t2
             multi = fact[d] // (fact[m] * fact[t1] * fact[t2])
-            nums[m + 1] += fact[d - t1] * fact[d - t2] * multi * 2**m * bracket
+            nums[m + 1] += fact[d - t1] * fact[d - t2] * multi * bracket << m
     lead = factorial(p1) * factorial(p2)
-    den = 2**d * factorial(d) * factorial(q1) * factorial(q2)
-    den *= factorial(q1 + s) * factorial(q2 + s)
+    den = fact[d] * fact[q1] * fact[q2] * fact[q1 + s] * fact[q2 + s] << d
     return BinomialPoly(
         {
-            k: _as_count(lead * nums[k], den, f"gs_series_simplified coefficient at k={k}")
+            k: _as_count(lead * nums[k], den, "gs_series_simplified coefficient at k={}", k)
             for k in range(1, d + 2)
         }
     )
@@ -151,20 +163,23 @@ def series_from_surjections(f: Mapping[int, int]) -> BinomialPoly:
 
 
 def vertical_count_formula(K: int, R1: int, R2: int, s: int) -> int:
-    """Closed form for the number of proper vertical arrays."""
+    """Closed form for the number of proper vertical arrays.
+
+    Once K, R1, R2, s >= 1 every binomial below has non-negative arguments,
+    and math.comb is 0 for k > n, so it needs no range check.
+    """
     # plain ints skip the checks: canonical_from_vertical calls this once per term
     if not type(K) is type(R1) is type(R2) is type(s) is int:
         K, R1, R2, s = (_as_int(x, "parameters") for x in (K, R1, R2, s))
     if K < 1 or R1 < 1 or R2 < 1 or s < 1:
         raise ValueError("need K, R1, R2, s >= 1")
-    bracket = binomial(K - 1, R1 - 1) * binomial(K - 1, R2 - 1) - binomial(
-        K - 1, s + R1 - 1
-    ) * binomial(K - 1, s + R2 - 1)
-    num = (
-        factorial(s + R1 - 1) * factorial(s + R2 - 1) * binomial(s + R1 + R2 - 2, K - 1) * bracket
-    )
+    n = K - 1
+    bracket = comb(n, R1 - 1) * comb(n, R2 - 1) - comb(n, s + R1 - 1) * comb(n, s + R2 - 1)
+    if not bracket:  # a zero numerator: the division below could only give 0
+        return 0
+    num =factorial(s + R1 - 1) * factorial(s + R2 - 1) * comb(s + R1 + R2 - 2, n) * bracket
     return _as_count(
-        num, factorial(s + R1 + R2 - 2), f"vertical_count_formula({K}, {R1}, {R2}, {s})"
+        num, factorial(s + R1 + R2 - 2), "vertical_count_formula({}, {}, {}, {})", K, R1, R2, s
     )
 
 
@@ -222,16 +237,20 @@ def omega_count_formula(o: SubstructureOmega) -> int:
     """Proper vertical arrays with a fixed balanced occupancy.
 
     s! times a sum over the number A of doubly-unmarked occupied columns of
-    s/(s-A) times a multinomial that distributes the remaining columns among
-    the three marked patterns; negative multinomial parts vanish. The factor
-    s! s/(s-A) is the integer s perm(s, A) (s-A-1)!.
+    C(F-1, A) s/(s-A) times a multinomial that distributes the remaining
+    columns among the three marked patterns. The factor s! s/(s-A) is the
+    integer s perm(s, A) (s-A-1)!.
+
+    Only the non-zero terms are summed: C(F-1, A) needs A < F, where F <= s
+    counts the occupied columns, and the multinomial's parts K-A-R1, K-A-R2
+    and R1+R2-K+A-1 are all non-negative only for
+    K+1-R1-R2 <= A <= min(K-R1, K-R2).
     """
-    s, K, F = o.s, o.K, o.F
+    s, K, F, R1, R2 = o.s, o.K, o.F, o.r1, o.r2
     total = 0
-    for A in range(s):
-        spread = multinomial((K - A - o.r1, K - A - o.r2, o.r1 + o.r2 - K + A - 1))
-        choose = binomial(F - 1, A) if F >= 1 else 0
-        total += s * perm(s, A) * factorial(s - A - 1) * choose * spread
+    for A in range(max(0, K + 1 - R1 - R2), min(F, K - R1 + 1, K - R2 + 1)):
+        spread = multinomial((K - A - R1, K - A - R2, R1 + R2 - K + A - 1))
+        total += s * perm(s, A) * factorial(s - A - 1) * comb(F - 1, A) * spread
     return total
 
 
@@ -250,14 +269,18 @@ def canonical_from_vertical(
     if K < 1 or s < 1 or q1 < 0 or q2 < 0:  # as in brute.canonical_array_count_brute
         raise ValueError("need K >= 1, s >= 1, q1, q2 >= 0")
     p1, p2 = 2 * q1 + s, 2 * q2 + s
+    # the weight splits as C(s+q1, t1) 2^(q1-t1) times C(s+q2, t2) 2^(q2-t2)
+    row2 = [comb(s + q2, t2) << (q2 - t2) for t2 in range(q2 + 1)]
     num = 0
     for t1 in range(q1 + 1):
-        for t2 in range(q2 + 1):
-            weight = binomial(s + q1, t1) * binomial(s + q2, t2) * 2 ** (q1 + q2 - t1 - t2)
-            num += weight * v_source(K, q1 - t1 + 1, q2 - t2 + 1, s)
-    den = 2 ** (q1 + q2) * factorial(s + q1) * factorial(s + q2)
+        inner = 0
+        for t2, weight in enumerate(row2):
+            inner += weight * v_source(K, q1 - t1 + 1, q2 - t2 + 1, s)
+        num += comb(s + q1, t1) * inner << (q1 - t1)
+    den = factorial(s + q1) * factorial(s + q2) << (q1 + q2)
     return _as_count(
-        factorial(p1) * factorial(p2) * num, den, f"canonical_from_vertical({K}, {q1}, {q2}, {s})"
+        factorial(p1) * factorial(p2) * num, den,
+        "canonical_from_vertical({}, {}, {}, {})", K, q1, q2, s,
     )
 
 

@@ -165,6 +165,40 @@ def test_binomial_poly_needs_integers(coeffs, what):
         BinomialPoly(coeffs)
 
 
+def test_binomial_poly_names_its_first_bad_entry():
+    # the entries are tested in order, each index before its coefficient
+    with pytest.raises(ValueError, match=r"^binomial-basis coefficients must be integers, got 0.5$"):
+        BinomialPoly({1: 0.5, 2.0: 3})
+    with pytest.raises(ValueError, match=r"^binomial-basis indices must be integers, got 2.0$"):
+        BinomialPoly({1: 1, 2.0: 0.5})
+    with pytest.raises(ValueError, match=r"^binomial-basis indices must be integers, got True$"):
+        BinomialPoly({True: 0.5})
+    with pytest.raises(ValueError, match=r"^binomial-basis index must be an int >= 1, got 0$"):
+        BinomialPoly({2: 1, 0: 0.5})
+
+
+class Count(int):
+    pass
+
+
+def test_int_subclass_entries_are_accepted():
+    assert CycleCountVector(Count(2), (Count(1), 0, Count(2))) == CycleCountVector(2, (1, 0, 2))
+    poly = BinomialPoly({Count(1): Count(3), 2: 0, Count(3): Count(0)})
+    assert poly == BinomialPoly({1: 3})
+    assert poly.to_counts(0) == CycleCountVector(0, (3,))
+
+
+def test_one_whole_value_integer_check():
+    from mapenum import arrays, exact
+
+    assert arrays._checked_ints is exact._checked_ints
+    values = (1, Count(2), 3)
+    assert exact._checked_ints(values, "entries") is values
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match=f"^entries must be integers, got {bad!r}$"):
+            exact._checked_ints((1, bad, 3), "entries")
+
+
 @pytest.mark.parametrize(
     "coeffs, what",
     [({True: 1}, "monomial degrees must be integers"), ({1.0: 1}, "monomial degrees must be integers"),

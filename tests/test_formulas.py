@@ -1,4 +1,4 @@
-from math import factorial
+from math import factorial, perm
 
 import pytest
 
@@ -42,6 +42,15 @@ def test_as_count_rejects_a_remainder_or_a_negative_value():
         _as_count(-6, 2, "neg")
     with pytest.raises(ArithmeticError, match="expected an exact integer"):
         _as_count(-7, 2, "neg")
+
+
+def test_as_count_formats_its_template_only_into_the_error():
+    with pytest.raises(ArithmeticError, match=r"^f\(3, 4\): expected an exact integer, got 7/2$"):
+        _as_count(7, 2, "f({}, {})", 3, 4)
+    with pytest.raises(ArithmeticError, match=r"^g\(5\): expected a non-negative count, got -2$"):
+        _as_count(-4, 2, "g({})", 5)
+    # a passing call never formats: these arguments would not fit the template
+    assert _as_count(8, 2, "f({}, {})") == 4
 
 
 # ----------------------------------------------------------------------
@@ -161,6 +170,32 @@ def test_gs_series_matches_simplified_to_d16():
         assert gs_series(q1, q2, s) == gs_series_simplified(q1, q2, s), (q1, q2, s)
 
 
+def _gs_simplified_reference(q1, q2, s):
+    """The two-sum series as first written: four perm calls and a power of two per term."""
+    p1, p2 = 2 * q1 + s, 2 * q2 + s
+    d = q1 + q2 + s
+    nums = [0] * (d + 2)
+    for t1 in range(q1 + s + 1):
+        for t2 in range(min(q2 + s, d - t1) + 1):
+            bracket = perm(q1 + s, t1) * perm(q2 + s, t2) - perm(q1, t1) * perm(q2, t2)
+            if not bracket:
+                continue
+            m = d - t1 - t2
+            multi = factorial(d) // (factorial(m) * factorial(t1) * factorial(t2))
+            nums[m + 1] += factorial(d - t1) * factorial(d - t2) * multi * 2**m * bracket
+    lead = factorial(p1) * factorial(p2)
+    den = 2**d * factorial(d) * factorial(q1) * factorial(q2)
+    den *= factorial(q1 + s) * factorial(q2 + s)
+    return BinomialPoly(
+        {k: _as_count(lead * nums[k], den, "reference") for k in range(1, d + 2)}
+    )
+
+
+def test_gs_series_simplified_matches_its_reference_to_d20():
+    for q1, q2, s in gs_parameter_tuples(20):
+        assert gs_series_simplified(q1, q2, s) == _gs_simplified_reference(q1, q2, s), (q1, q2, s)
+
+
 def test_series_from_surjections():
     assert series_from_surjections({1: 1}).to_monomial().integer_coeffs() == {1: 1}
     f = {K: paired_surjection_count_brute(K, 0, 0, 2) for K in range(1, 5)}
@@ -184,6 +219,26 @@ def test_vertical_formula_allows_marks_beyond_columns():
     # arises inside the canonical assembly; both sides vanish
     assert vertical_count_formula(1, 2, 1, 1) == 0
     assert vertical_array_count_brute(1, 2, 1, 1) == 0
+
+
+def _vertical_reference(K, R1, R2, s):
+    """The vertical closed form as first written, every binomial range-checked."""
+    bracket = binomial(K - 1, R1 - 1) * binomial(K - 1, R2 - 1) - binomial(
+        K - 1, s + R1 - 1
+    ) * binomial(K - 1, s + R2 - 1)
+    num = (
+        factorial(s + R1 - 1) * factorial(s + R2 - 1) * binomial(s + R1 + R2 - 2, K - 1) * bracket
+    )
+    return _as_count(num, factorial(s + R1 + R2 - 2), "reference")
+
+
+def test_vertical_formula_matches_its_reference():
+    for K in range(1, 13):
+        for R1 in range(1, 9):
+            for R2 in range(1, 9):
+                for s in range(1, 9):
+                    assert vertical_count_formula(K, R1, R2, s) == \
+                        _vertical_reference(K, R1, R2, s), (K, R1, R2, s)
 
 
 def test_gamma_formula_base_case_all_marked():
@@ -261,6 +316,43 @@ def test_omega_formula_random_grid():
                         assert omega_count_formula(o) == omega_count_brute(o)
 
 
+def _omega_reference(o):
+    """The balanced-occupancy formula as first written: every A < s, zero terms included."""
+    s, K, F = o.s, o.K, o.F
+    total = 0
+    for A in range(s):
+        spread = multinomial((K - A - o.r1, K - A - o.r2, o.r1 + o.r2 - K + A - 1))
+        choose = binomial(F - 1, A) if F >= 1 else 0
+        total += s * perm(s, A) * factorial(s - A - 1) * choose * spread
+    return total
+
+
+def test_omega_formula_matches_its_reference():
+    from mapenum.brute import _compositions
+
+    cases = 0
+    for K in range(1, 6):
+        for s in range(1, 7):
+            for w in _compositions(s, K):
+                for R1 in range(1, K + 1):
+                    for R2 in range(1, K + 1):
+                        o = SubstructureOmega(K, R1, R2, w)
+                        assert omega_count_formula(o) == _omega_reference(o), o
+                        cases += 1
+    assert cases == 15730
+
+
+def test_omega_formula_sums_only_its_non_zero_terms():
+    # a single non-zero term, where the sum once ran over every A < s with s-sized factorials
+    assert omega_count_formula(SubstructureOmega(1, 1, 1, (10000,))) == factorial(10000)
+    # K = 3, R1 = R2 = 2, F = 2: only A = 0 (2 s!) and A = 1 (s s (s-2)!) are non-zero
+    s = 4001
+    wide = SubstructureOmega(3, 2, 2, (s - 1, 1, 0))
+    assert omega_count_formula(wide) == 2 * factorial(s) + s * s * factorial(s - 2)
+    narrow = SubstructureOmega(3, 2, 2, (400, 1, 0))
+    assert omega_count_formula(narrow) == _omega_reference(narrow)
+
+
 def test_canonical_from_vertical_anchors():
     assert canonical_from_vertical(1, 1, 0, 1, vertical_count_formula) == 3
     assert canonical_from_vertical(1, 0, 0, 1, vertical_count_formula) == 1
@@ -282,6 +374,43 @@ def test_canonical_from_vertical_rejects_bad_parameters(K, q1, q2, s):
 def test_canonical_from_vertical_accepts_brute_source():
     assert canonical_from_vertical(2, 1, 0, 1, vertical_array_count_brute) == \
         canonical_from_vertical(2, 1, 0, 1, vertical_count_formula)
+
+
+def _canonical_from_vertical_reference(K, q1, q2, s, v_source):
+    """The vertical assembly as first written: one weight with a power of two per term."""
+    p1, p2 = 2 * q1 + s, 2 * q2 + s
+    num = 0
+    for t1 in range(q1 + 1):
+        for t2 in range(q2 + 1):
+            weight = binomial(s + q1, t1) * binomial(s + q2, t2) * 2 ** (q1 + q2 - t1 - t2)
+            num += weight * v_source(K, q1 - t1 + 1, q2 - t2 + 1, s)
+    den = 2 ** (q1 + q2) * factorial(s + q1) * factorial(s + q2)
+    return _as_count(factorial(p1) * factorial(p2) * num, den, "reference")
+
+
+@pytest.mark.parametrize(
+    "v_source, max_d",
+    [(vertical_count_formula, 6), (vertical_array_count_brute, 3)],
+    ids=["formula-source-d-6", "brute-source-d-3"],
+)
+def test_canonical_from_vertical_matches_its_reference(v_source, max_d):
+    for q1, q2, s in gs_parameter_tuples(max_d):
+        d = q1 + q2 + s
+        for K in range(1, 2 * d + 1):
+            assert canonical_from_vertical(K, q1, q2, s, v_source) == \
+                _canonical_from_vertical_reference(K, q1, q2, s, v_source), (K, q1, q2, s)
+
+
+def test_canonical_from_vertical_calls_its_source_once_per_term():
+    calls = []
+
+    def source(*args):
+        calls.append(args)
+        return vertical_count_formula(*args)
+
+    assert canonical_from_vertical(3, 2, 1, 2, source) == \
+        canonical_from_vertical(3, 2, 1, 2, vertical_count_formula)
+    assert sorted(calls) == [(3, R1, R2, 2) for R1 in (1, 2, 3) for R2 in (1, 2)]
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,24 @@ def test_no_true_division(path):
     assert lines == []
 
 
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src").rglob("*.py")), ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_as_count_takes_a_template_not_an_f_string(path):
+    # _as_count formats its error context only when it raises; an f-string
+    # argument would be built on every call, failing or not
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_as_count"
+        and any(isinstance(arg, ast.JoinedStr) for arg in [*node.args, *(k.value for k in node.keywords)])
+    ]
+    assert lines == []
+
+
 CLOSED_FORMS = {"formulas", "verify", "cli"}
 
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import filterfalse
-from sys import intern
-from typing import AbstractSet, Iterable, Mapping, Sequence, Union
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .exact import _as_int, _checked_ints
 
@@ -124,12 +123,14 @@ class _Cells:
     pairs whose tails never sit in row-1-marked columns.
 
     The cell structure is worked out once, when the fields have passed their
-    checks: ``tails``, the arrow tails, and ``_open``, the open columns of
-    row i at index i - 1.
+    checks: ``tails``, the arrow tails, ``_open``, the open columns of row i
+    at index i - 1, and ``_crit``, those of them that hold a vertex (the
+    columns of row i's critical vertices).
     """
 
     tails: frozenset[int]
     _open: tuple[tuple[int, ...], tuple[int, ...]]
+    _crit: tuple[tuple[int, ...], tuple[int, ...]]
 
     @property
     def K(self) -> int:
@@ -141,11 +142,14 @@ class _Cells:
 
     def _store_cells(self) -> None:
         tails = frozenset([t for t, _ in self.arrows])
-        columns = range(len(self.w[0]))
+        w1, w2 = self.w
+        columns = range(len(w1))
+        open1 = tuple(filterfalse((self.r1 | tails).__contains__, columns))
+        open2 = tuple(filterfalse(self.r2.__contains__, columns))
         object.__setattr__(self, "tails", tails)
-        object.__setattr__(self, "_open", (
-            tuple(filterfalse((self.r1 | tails).__contains__, columns)),
-            tuple(filterfalse(self.r2.__contains__, columns)),
+        object.__setattr__(self, "_open", (open1, open2))
+        object.__setattr__(self, "_crit", (
+            tuple(filter(w1.__getitem__, open1)), tuple(filter(w2.__getitem__, open2))
         ))
 
 
@@ -250,6 +254,27 @@ class SubstructureGamma(_Cells):
         if sum(w[0]) != sum(w[1]):
             raise ValueError("both rows must carry the same number of vertices")
         self._store_cells()
+
+    @classmethod
+    def _unchecked(cls, w: tuple[tuple[int, ...], tuple[int, ...]], r1: frozenset[int],
+                   r2: frozenset[int], arrows: Union[tuple[tuple[int, int], ...], dict[int, int]]
+                   ) -> "SubstructureGamma":
+        """A SubstructureGamma on parts already known to pass the checks of
+        ``__post_init__``, built without running them: rows of plain ints as
+        tuples, mark sets as frozensets, and arrows as sorted (tail, head)
+        pairs or a dict, which is stored as its sorted items. Only for parts
+        this package generates itself: the sweep draws of ``verify`` and the
+        mark-set walk of ``brute``. Input from outside goes through the
+        constructor."""
+        g = object.__new__(cls)
+        if type(arrows) is dict:
+            arrows = tuple(sorted(arrows.items()))
+        object.__setattr__(g, "w", w)
+        object.__setattr__(g, "r1", r1)
+        object.__setattr__(g, "r2", r2)
+        object.__setattr__(g, "arrows", arrows)
+        g._store_cells()
+        return g
 
     @property
     def s(self) -> int:
@@ -372,7 +397,7 @@ def check_balance(a: ArrayLike) -> bool:
 def check_full(a: ArrayLike) -> bool:
     """Every cell (not just every column) holds at least one object: every
     open cell holds a vertex."""
-    return all(w[j] > 0 for w, opened in zip(a.w, a._open) for j in opened)
+    return a._crit == a._open
 
 
 def forest_function(a: PairedArray, row: int) -> dict[int, int]:
@@ -388,9 +413,8 @@ def forest_function(a: PairedArray, row: int) -> dict[int, int]:
     col = _slot_columns(a.w[0]) + _slot_columns(a.w[1])
     rightmost = _rightmost_slots(a.w[row - 1], 0 if row == 1 else a.p1)
     psi = a.phi if row == 1 else {}
-    for j in a._open[row - 1]:
-        if rightmost[j] >= 0:
-            psi[j] = col[a.pairing[rightmost[j]]]
+    for j in a._crit[row - 1]:
+        psi[j] = col[a.pairing[rightmost[j]]]
     return psi
 
 
@@ -445,7 +469,7 @@ def check_forest(a: PairedArray) -> bool:
 def critical_vertices(g: ArrayLike) -> set[tuple[int, int]]:
     """Cells holding a critical vertex, as (row, column) pairs: the open
     cells that hold a vertex."""
-    return {(row, j) for row, w, opened in zip((1, 2), g.w, g._open) for j in opened if w[j] > 0}
+    return {(row, j) for row, crit in zip((1, 2), g._crit) for j in crit}
 
 
 def is_irreducible(g: SubstructureGamma) -> bool:
@@ -477,20 +501,19 @@ def arrow_cycle(phi: Mapping[int, int]) -> tuple[int, ...]:
 
 
 _KINDS = ("a", "abar", "atil", "b", "c", "cbar", "ctil", "d")
-# interned like ColumnTally's field names, which its keyword arguments then
-# match by identity: built names would be compared character by character
-_KIND_FIELDS = tuple(intern(f"{kind}{row}") for kind in _KINDS for row in (1, 2))
+# index in ColumnTally of each kind's row-1 total; its row-2 total follows
+_AT = {kind: 1 + 2 * i for i, kind in enumerate(_KINDS)}
 
 
-@dataclass(frozen=True)
-class ColumnTally:
+class ColumnTally(NamedTuple):
     """Column-type census of an irreducible substructure.
 
     ``A`` counts the columns unmarked in both rows (outside the arrow
     tails); the remaining fields are per-row vertex totals of the eight
-    column types in ``_KINDS``: plain/bar/tilde variants for heads-into-
-    unmarked (a) and heads-into-row-2-marked (c) targets, plus b (row 1
-    marked), c (row 2 marked), and d (both marked).
+    column types in ``_KINDS``, in that order, row 1 before row 2:
+    plain/bar/tilde variants for heads-into-unmarked (a) and
+    heads-into-row-2-marked (c) targets, plus b (row 1 marked), c (row 2
+    marked), and d (both marked).
     """
 
     A: int
@@ -514,7 +537,7 @@ class ColumnTally:
     def row_total(self, row: int) -> int:
         if row not in (1, 2):
             raise ValueError("row must be 1 or 2")
-        return sum(getattr(self, name) for name in _KIND_FIELDS[row - 1::2])
+        return sum(self[row::2])
 
 
 def classify_columns(g: SubstructureGamma) -> ColumnTally:
@@ -522,8 +545,7 @@ def classify_columns(g: SubstructureGamma) -> ColumnTally:
     if not is_irreducible(g):
         raise ValueError("column classification requires an irreducible substructure")
     w1, w2 = g.w
-    acc = dict.fromkeys(_KIND_FIELDS, 0)
-    A = 0
+    counts = [0] * len(ColumnTally._fields)
     # mark-pattern type of each non-tail column, needed to type the tails
     plain_type: dict[int, str] = {}
     for j in range(g.K):
@@ -532,15 +554,16 @@ def classify_columns(g: SubstructureGamma) -> ColumnTally:
         m1, m2 = j in g.r1, j in g.r2
         kind = plain_type[j] = "d" if (m1 and m2) else "b" if m1 else "c" if m2 else "a"
         if kind == "a":
-            A += 1
-        acc[kind + "1"] += w1[j]
-        acc[kind + "2"] += w2[j]
+            counts[0] += 1
+        at = _AT[kind]
+        counts[at] += w1[j]
+        counts[at + 1] += w2[j]
     for t, head in g.arrows:
         target = plain_type[head]  # irreducible: head is unmarked row 1, so 'a' or 'c'
-        deco = "til" if t in g.r2 else "bar"
-        acc[target + deco + "1"] += w1[t]
-        acc[target + deco + "2"] += w2[t]
-    return ColumnTally(A=A, **acc)
+        at = _AT[target + ("til" if t in g.r2 else "bar")]
+        counts[at] += w1[t]
+        counts[at + 1] += w2[t]
+    return ColumnTally(*counts)
 
 
 def permute_columns(g: SubstructureGamma, perm: Iterable[int]) -> SubstructureGamma:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, groupby, product
 from math import factorial, prod
-from operator import ge, itemgetter, sub
+from operator import ge, itemgetter
 from typing import Iterator
 
 from .arrays import (
@@ -295,12 +295,15 @@ def _count_forest_matchings(g: SubstructureGamma, forced: tuple[_Slot, _Slot] | 
     K = g.K
     # per row (index 0 for row 1): the columns with a critical slot, whether
     # it is still unmatched, each column's spare slots, the forest map and its roots
-    w1, w2 = g.w
-    crit = tuple([j for j in opened if w[j]] for w, opened in zip(g.w, g._open))
-    waiting = ([j in crit[0] for j in range(K)], [j in crit[1] for j in range(K)])
-    spare = (list(map(sub, w1, waiting[0])), list(map(sub, w2, waiting[1])))
+    crit = g._crit
+    waiting = ([False] * K, [False] * K)
+    spare = (list(g.w[0]), list(g.w[1]))
+    for r in (0, 1):
+        for j in crit[r]:
+            waiting[r][j] = True
+            spare[r][j] -= 1
     psi = (g.phi, {})
-    roots = (set(g.r1) | set(crit[0]), set(g.r2) | set(crit[1]))
+    roots = ({*g.r1, *crit[0]}, {*g.r2, *crit[1]})
     if not _rooted_forest(psi[0], roots[0]):
         return 0
     if forced is not None:
@@ -421,21 +424,14 @@ def _sorted_omega_count(K: int, R1: int, R2: int, w: tuple[int, ...]) -> int:
     or in neither (e), and it holds prod multinomial(a, b, c, e) pairs. So
     the walk runs once per choice of (a, b, c, e) for each block, with
     sum(a + c) = R1, sum(b + c) = R2 and e = 0 in the vertex-free block,
-    on the pair that marks each block's first columns in that order. A
-    block's choices are drawn with a + c <= R1 and b + c <= R2 from the
-    start, in the order of its 4-part compositions, so a wide block costs
-    what its marks allow rather than cubic time in its width.
+    on the pair that marks each block's first columns in that order.
+    ``_mark_splits`` draws each block's choices within the marks left by
+    the blocks before it, so a wide block costs what its marks allow rather
+    than cubic time in its width, and no split over-spends R1 or R2.
     """
     blocks = [(count, len(list(run))) for count, run in groupby(w)]
-    choices = [[(a, b, c, n - a - b - c)
-                for a in range(min(R1, n) + 1)
-                for b in range(min(R2, n - a) + 1)
-                for c in range(min(R1 - a, R2 - b, n - a - b) + 1)
-                if count or a + b + c == n] for count, n in blocks]
     total = 0
-    for split in product(*choices):
-        if sum(a + c for a, _, c, _ in split) != R1 or sum(b + c for _, b, c, _ in split) != R2:
-            continue
+    for split in _mark_splits(blocks, R1, R2):
         r1: list[int] = []
         r2: list[int] = []
         start = 0
@@ -445,8 +441,34 @@ def _sorted_omega_count(K: int, R1: int, R2: int, w: tuple[int, ...]) -> int:
             r2 += range(start + a, start + a + b + c)
             start += n
         weight = prod(map(multinomial, split))
-        total += weight * _count_forest_matchings(SubstructureGamma((w, w), r1, r2))
+        # w is sorted from a checked SubstructureOmega, and r1 and r2 are
+        # R1- and R2-sets of its columns with 1 <= R_i <= K: the parts pass
+        # the constructor's checks
+        g = SubstructureGamma._unchecked((w, w), frozenset(r1), frozenset(r2), ())
+        total += weight * _count_forest_matchings(g)
     return total
+
+
+def _mark_splits(blocks: list[tuple[int, int]], R1: int, R2: int
+                 ) -> Iterator[tuple[tuple[int, int, int, int], ...]]:
+    """Every split of the marks over ``blocks``, (occupancy, width n) pairs,
+    as one (a, b, c, e) per block as in ``_sorted_omega_count``: a + b + c +
+    e = n, e = 0 in the vertex-free block, sum(a + c) = R1 and sum(b + c) =
+    R2. Each block's choices are drawn within the marks the blocks before it
+    left, in the order of its 4-part compositions, so every split is yielded
+    once, in the order of ``itertools.product`` over the blocks.
+    """
+    if not blocks:
+        if not (R1 or R2):
+            yield ()
+        return
+    (count, n), rest = blocks[0], blocks[1:]
+    for a in range(min(R1, n) + 1):
+        for b in range(min(R2, n - a) + 1):
+            for c in range(min(R1 - a, R2 - b, n - a - b) + 1):
+                if count or a + b + c == n:
+                    for tail in _mark_splits(rest, R1 - a - c, R2 - b - c):
+                        yield ((a, b, c, n - a - b - c), *tail)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -15,8 +15,7 @@ from operator import mul
 from typing import Callable, Mapping
 
 from .arrays import (
-    SubstructureGamma, SubstructureOmega, check_full, classify_columns, critical_vertices,
-    is_irreducible,
+    SubstructureGamma, SubstructureOmega, check_full, classify_columns, is_irreducible,
 )
 from .exact import BinomialPoly, CycleCountVector, _as_int, double_factorial, multinomial
 
@@ -191,8 +190,7 @@ def _substructure_count(g: SubstructureGamma, context: str) -> int:
     (s-1)! (first / (s-A) + second / ((s-A)(s-A-1))).
     """
     t = classify_columns(g)
-    crit = critical_vertices(g)
-    A = sum(1 for row, j in crit if row == 1 and (2, j) in crit)
+    A = len(set(g._crit[0]).intersection(g._crit[1]))
     s = g.s
     if s <= A:
         return 0

@@ -157,6 +157,11 @@ def sweep_omega(max_K: int = 4, max_s: int = 5) -> list[str]:
 # Random substructures
 # ----------------------------------------------------------------------
 
+# The draws build with SubstructureGamma._unchecked: each makes rows of
+# plain ints with equal sums, non-empty mark sets within 0..K-1 and arrow
+# tails outside r1, so the constructor's checks would pass. The rewrites of
+# the lemma suite build through the constructor.
+
 
 def _random_nonempty_subset(rng: random.Random, K: int) -> frozenset[int]:
     return frozenset(rng.sample(range(K), rng.randint(1, K)))
@@ -186,7 +191,7 @@ def random_full_irreducible(
             open_cols = frozenset(rng.sample(range(K), rng.randint(1, min(K - 1, max_s))))
             marked = frozenset(range(K)) - open_cols
             w = tuple(1 if j in open_cols else 0 for j in range(K))
-            return SubstructureGamma((w, w), marked, marked, ())
+            return SubstructureGamma._unchecked((w, w), marked, marked, ())
         r1 = _random_nonempty_subset(rng, K)
         r2 = _random_nonempty_subset(rng, K)
         pool = [j for j in range(K) if j not in r1]
@@ -210,7 +215,7 @@ def random_full_irreducible(
             s = rng.randint(minimum, max_s)
         w1 = _top_up(rng, [1 if j in need1 else 0 for j in range(K)], s)
         w2 = _top_up(rng, [1 if j in need2 else 0 for j in range(K)], s)
-        return SubstructureGamma((w1, w2), r1, r2, phi)
+        return SubstructureGamma._unchecked((w1, w2), r1, r2, phi)
 
 
 def random_balanced_noarrows(
@@ -226,14 +231,14 @@ def random_balanced_noarrows(
     r2 = _random_nonempty_subset(rng, K)
     s = rng.randint(1, max_s)
     w = _top_up(rng, [0] * K, s)
-    return SubstructureGamma((w, w), r1, r2, ())
+    return SubstructureGamma._unchecked((w, w), r1, r2, ())
 
 
 def _random_gamma(rng: random.Random, K: int, s: int, phi: dict[int, int],
                   r1: frozenset[int], r2: frozenset[int]) -> SubstructureGamma:
     w1 = _top_up(rng, [0] * K, s)
     w2 = _top_up(rng, [0] * K, s)
-    return SubstructureGamma((w1, w2), r1, r2, phi)
+    return SubstructureGamma._unchecked((w1, w2), r1, r2, phi)
 
 
 def sweep_gamma(
@@ -354,7 +359,7 @@ def _draw_merging(rng: random.Random) -> _LemmaDraw:
         s = rng.randint(max(len(need1), len(need2), 1), 6)
         w1 = _top_up(rng, [1 if j in need1 else 0 for j in range(K)], s)
         w2 = _top_up(rng, [1 if j in need2 else 0 for j in range(K)], s)
-        g = SubstructureGamma((w1, w2), r1, r2, phi)
+        g = SubstructureGamma._unchecked((w1, w2), r1, r2, phi)
         crit = arrays.critical_vertices(g)
         xs = [j for j in range(K) if (1, j) in crit]
         ys = [j for j in range(K) if (2, j) in crit]

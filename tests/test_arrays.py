@@ -1,3 +1,4 @@
+import functools
 import json
 from itertools import combinations, product
 
@@ -9,6 +10,7 @@ from mapenum.arrays import (
     PairedArray,
     SubstructureGamma,
     SubstructureOmega,
+    _Cells,
     _rooted_forest,
     _stays_rooted,
     arrow_cycle,
@@ -280,6 +282,7 @@ def _assert_cell_structure(a):
     assert a.tails == tails
     for row in (1, 2):
         assert open_columns(a, row) == sorted(j for r, j in open_cells if r == row)
+        assert a._crit[row - 1] == tuple(sorted(j for r, j in open_cells & occupied if r == row))
     assert critical_vertices(a) == open_cells & occupied
     assert check_full(a) == (open_cells <= occupied)
     objects = a.r1 | a.r2 | tails
@@ -319,14 +322,16 @@ def test_stored_cell_structure_on_sweep_draws_and_canonical_arrays(two_row_examp
     from mapenum import verify
 
     drawn = []
-    post_init = SubstructureGamma.__post_init__
+    store_cells = _Cells._store_cells
 
+    # both the checked constructor and the draws' unchecked builds store here
     def record(g):
-        post_init(g)
-        drawn.append(g)
+        store_cells(g)
+        if isinstance(g, SubstructureGamma):
+            drawn.append(g)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SubstructureGamma, "__post_init__", record)
+        mp.setattr(_Cells, "_store_cells", record)
         for suite in ("gamma", "lemmas"):
             verify.run_suite(suite, seed=0)
     assert len(drawn) > 1000
@@ -346,6 +351,40 @@ def test_stored_cell_structure_on_sweep_draws_and_canonical_arrays(two_row_examp
     assert len(canonical) == 26
     for arr in canonical:
         _assert_cell_structure(arr)
+
+
+def test_unchecked_builds_equal_the_checked_constructor(monkeypatch):
+    # every substructure the sweeps build unchecked, rebuilt through the
+    # constructor from the same parts: the checks pass and nothing differs
+    from mapenum import brute, verify
+
+    built = []
+    unchecked = SubstructureGamma._unchecked
+
+    def record(cls, w, r1, r2, arrows):
+        g = unchecked(w, r1, r2, arrows)
+        built.append(((w, r1, r2, dict(arrows) if type(arrows) is dict else arrows), g))
+        return g
+
+    monkeypatch.setattr(SubstructureGamma, "_unchecked", classmethod(record))
+    # only the builds matter here: the oracles' walks are skipped, and the
+    # omega walk runs on a cache of its own, which starts empty
+    for name in ("gamma_count_brute", "gamma_count_brute_with_pair", "_count_forest_matchings"):
+        monkeypatch.setattr(brute, name, lambda *args: 0)
+    monkeypatch.setattr(brute, "_sorted_omega_count",
+                        functools.lru_cache(maxsize=None)(brute._sorted_omega_count.__wrapped__))
+    for seed in range(3):
+        verify.sweep_gamma(600, seed)
+        verify.sweep_gamma_noarrows(600, seed)
+        verify.sweep_lemmas(300, seed)
+    verify.sweep_omega(4, 6)
+    assert len(built) == 12884
+    for parts, g in built:
+        checked = SubstructureGamma(*parts)
+        for name in ("w", "r1", "r2", "arrows", "tails", "_open", "_crit"):
+            assert getattr(g, name) == getattr(checked, name)
+            assert type(getattr(g, name)) is type(getattr(checked, name))
+        assert repr(g) == repr(checked)
 
 
 def test_is_irreducible():

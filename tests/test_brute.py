@@ -1,7 +1,7 @@
 import functools
 import random
 from collections import Counter
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
 from math import factorial, prod
 
 import pytest
@@ -38,7 +38,7 @@ from mapenum.brute import (
     paired_surjection_count_brute,
     vertical_array_count_brute,
 )
-from mapenum.exact import binomial, cycle_count, double_factorial, gamma_of_rows
+from mapenum.exact import binomial, cycle_count, double_factorial, gamma_of_rows, multinomial
 
 
 # ----------------------------------------------------------------------
@@ -666,6 +666,44 @@ def test_one_walk_per_mark_orbit_matches_the_covering_pair_sum():
 
     wide = SubstructureOmega(10, 5, 5, (1, 1, 1) + (0,) * 7)
     assert omega_count_brute(wide) == omega_count_formula(wide) == 3780
+
+
+def _product_filter_omega_count(K, R1, R2, w):
+    """``_sorted_omega_count`` as first written: every product of the
+    blocks' (a, b, c, e) choices, kept when its marks add up to R1 and R2,
+    each walked on a checked substructure."""
+    blocks = [(count, len(list(run))) for count, run in groupby(w)]
+    choices = [[(a, b, c, n - a - b - c)
+                for a in range(min(R1, n) + 1)
+                for b in range(min(R2, n - a) + 1)
+                for c in range(min(R1 - a, R2 - b, n - a - b) + 1)
+                if count or a + b + c == n] for count, n in blocks]
+    total = 0
+    for split in product(*choices):
+        if sum(a + c for a, _, c, _ in split) != R1 or sum(b + c for _, b, c, _ in split) != R2:
+            continue
+        r1, r2 = [], []
+        start = 0
+        for (a, b, c, _), (_, n) in zip(split, blocks):
+            r1 += range(start, start + a)
+            r1 += range(start + a + b, start + a + b + c)
+            r2 += range(start + a, start + a + b + c)
+            start += n
+        weight = prod(map(multinomial, split))
+        total += weight * _count_forest_matchings(SubstructureGamma((w, w), r1, r2))
+    return total
+
+
+def test_mark_splits_match_the_product_filter_reference():
+    cases = 0
+    for K in range(1, 6):
+        for s in range(1, 7):
+            for w in {tuple(sorted(w)) for w in _compositions(s, K)}:
+                for R1 in range(1, K + 1):
+                    for R2 in range(1, K + 1):
+                        assert _sorted_omega_count(K, R1, R2, w) == _product_filter_omega_count(K, R1, R2, w)
+                        cases += 1
+    assert cases == 1380
 
 
 def test_wide_vertex_free_block_walks_only_the_choices_its_marks_allow():

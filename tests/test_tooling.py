@@ -85,6 +85,37 @@ def test_oracles_do_not_import_closed_forms():
     assert {"brute", "arrays", "exact"} <= seen
 
 
+# Every use of an _unchecked constructor, as (module, enclosing function,
+# class). Each builds from parts its own function generated; input from
+# outside (the CLI, specs, from_json, the transforms' arguments) goes through
+# the checking constructors.
+UNCHECKED_BUILDERS = {
+    ("brute", "enumerate_pairings", "Pairing"),
+    ("brute", "_sorted_omega_count", "SubstructureGamma"),
+    ("verify", "random_full_irreducible", "SubstructureGamma"),
+    ("verify", "random_balanced_noarrows", "SubstructureGamma"),
+    ("verify", "_random_gamma", "SubstructureGamma"),
+    ("verify", "_draw_merging", "SubstructureGamma"),
+}
+
+
+def test_unchecked_builds_stay_in_the_generators():
+    uses = set()
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "_unchecked":
+                uses.add((module, where, ast.unparse(child.value)))
+            visit(child, module, where)
+
+    for path in sorted((ROOT / "src" / "mapenum").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem, None)
+    assert uses == UNCHECKED_BUILDERS
+
+
 def _load_script(relative):
     path = ROOT / relative
     spec = importlib.util.spec_from_file_location(path.stem, path)

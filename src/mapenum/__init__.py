@@ -4,6 +4,8 @@ Closed-form counting series and array-count formulas, each certified
 against independent brute-force enumeration oracles at desk scale.
 """
 
+from types import ModuleType as _ModuleType
+
 from .arrays import (
     ColumnTally,
     PairedArray,
@@ -19,8 +21,6 @@ from .arrays import (
     critical_vertices,
     forest_function,
     is_irreducible,
-    open_columns,
-    permute_columns,
 )
 from .brute import (
     canonical_array_count_brute,
@@ -66,4 +66,8 @@ from .transforms import (
     labelled_to_canonical,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the re-exported names only: importing a submodule also binds it here
+__all__ = [
+    name for name, value in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import AbstractSet, Mapping, NamedTuple, Sequence, Union
 
 from .exact import _as_int, _checked_ints
 
@@ -125,7 +125,8 @@ class _Cells:
     The cell structure is worked out once, when the fields have passed their
     checks: ``tails``, the arrow tails, ``_open``, the open columns of row i
     at index i - 1, and ``_crit``, those of them that hold a vertex (the
-    columns of row i's critical vertices).
+    columns of row i's critical vertices). ``_store_cells`` holds the one
+    definition of an open cell; every reader takes ``_open`` or ``_crit``.
     """
 
     tails: frozenset[int]
@@ -352,15 +353,6 @@ class SubstructureOmega:
 ArrayLike = Union[PairedArray, SubstructureGamma]
 
 
-def open_columns(a: ArrayLike, row: int) -> list[int]:
-    """Columns whose cell in ``row`` is open: unmarked and, in row 1, free of
-    arrow tails. Depends only on the marks and arrows, so it is worked out
-    once, at construction; each call returns a fresh list."""
-    if row not in (1, 2):
-        raise ValueError("row must be 1 or 2")
-    return list(a._open[row - 1])
-
-
 # ----------------------------------------------------------------------
 # Structural conditions
 # ----------------------------------------------------------------------
@@ -534,11 +526,6 @@ class ColumnTally(NamedTuple):
     d1: int = 0
     d2: int = 0
 
-    def row_total(self, row: int) -> int:
-        if row not in (1, 2):
-            raise ValueError("row must be 1 or 2")
-        return sum(self[row::2])
-
 
 def classify_columns(g: SubstructureGamma) -> ColumnTally:
     """Partition the columns of an irreducible substructure into the eight types."""
@@ -565,21 +552,3 @@ def classify_columns(g: SubstructureGamma) -> ColumnTally:
         counts[at + 1] += w2[t]
     return ColumnTally(*counts)
 
-
-def permute_columns(g: SubstructureGamma, perm: Iterable[int]) -> SubstructureGamma:
-    """Relabel columns by ``perm`` (new index of each old column)."""
-    K = g.K
-    perm = [_as_column(j, K, "perm entry") for j in perm]
-    if sorted(perm) != list(range(K)):
-        raise ValueError("perm must be a permutation of 0..K-1")
-    w1 = [0] * K
-    w2 = [0] * K
-    for j in range(K):
-        w1[perm[j]] = g.w[0][j]
-        w2[perm[j]] = g.w[1][j]
-    return SubstructureGamma(
-        (tuple(w1), tuple(w2)),
-        frozenset(perm[j] for j in g.r1),
-        frozenset(perm[j] for j in g.r2),
-        tuple(sorted((perm[t], perm[h]) for t, h in g.arrows)),
-    )

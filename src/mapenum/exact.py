@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +116,9 @@ def gamma_of_rows(rows: Sequence[int]) -> tuple[int, ...]:
 class Pairing:
     """Fixed-point-free involution on 0..n-1, stored as a partner table.
 
-    partner[partner[i]] == i and partner[i] != i for every i.
+    The partner table is the only constructor input: partner[i] is the
+    element paired with i, so partner[partner[i]] == i and partner[i] != i
+    for every i.
     """
 
     partner: tuple[int, ...]
@@ -140,12 +142,6 @@ class Pairing:
     def __getitem__(self, i: int) -> int:
         return self.partner[i]
 
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """Yield the pairs (i, partner[i]) with i < partner[i], in order of i."""
-        for i, p in enumerate(self.partner):
-            if i < p:
-                yield (i, p)
-
     @classmethod
     def _unchecked(cls, partner: tuple[int, ...]) -> "Pairing":
         """A Pairing on a partner table already known to be a fixed-point-free
@@ -154,19 +150,6 @@ class Pairing:
         pairing = object.__new__(cls)
         object.__setattr__(pairing, "partner", partner)
         return pairing
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Pairing":
-        pairs = list(pairs)
-        n = 2 * len(pairs)
-        partner = [-1] * n
-        for a, b in pairs:
-            a, b = _as_int(a, "pair entries"), _as_int(b, "pair entries")
-            if not (0 <= a < n and 0 <= b < n) or partner[a] != -1 or partner[b] != -1:
-                raise ValueError(f"bad pair ({a}, {b})")
-            partner[a] = b
-            partner[b] = a
-        return cls(tuple(partner))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from mapenum.arrays import (
     check_balance,
     check_forest,
     check_nonempty,
-    open_columns,
 )
 from mapenum.brute import (
     _column_orbits,
@@ -56,7 +55,7 @@ def test_enumerate_one_row_counts():
 
 def test_enumerate_one_row_q1_is_the_single_pair():
     (only,) = enumerate_pairings((2,), 0)
-    assert list(only.pairs()) == [(0, 1)]
+    assert only.partner == (1, 0)
 
 
 @pytest.mark.parametrize("q", range(1, 7))
@@ -393,6 +392,13 @@ def _slot_addresses(w):
     return [(j, i) for j, count in enumerate(w) for i in range(count)]
 
 
+def _open_columns(g, row):
+    """Columns whose cell in ``row`` is open, from the definition: no mark
+    and, in row 1, no arrow tail."""
+    closed = g.r1 | {t for t, _ in g.arrows} if row == 1 else g.r2
+    return [j for j in range(g.K) if j not in closed]
+
+
 def test_gamma_count_matches_checker_based_enumeration():
     """The matcher must agree with building arrays and running the checkers,
     unrestricted and with every slot pair (v, u) forced.
@@ -418,7 +424,7 @@ def test_gamma_count_matches_checker_based_enumeration():
                 forced = sum(matching[t] == u for matching in accepted)
                 assert gamma_count_brute_with_pair(g, v, x) == forced
         cyclic += bool(arrow_cycle(g.phi))
-        open1 = open_columns(g, 1)
+        open1 = _open_columns(g, 1)
         into_empty_open_cell += any(h in open1 and not g.w[0][h] for h in g.phi.values())
     assert len(cases) == 3 + 3 + 609 + 854 + 3416  # hand-picked, K = 1, 2, 3 (s = 1, 2)
     assert cyclic and into_empty_open_cell
@@ -451,7 +457,7 @@ def test_gamma_count_matches_checkers_where_cells_hold_several_slots():
             for u, x in enumerate(_slot_addresses(g.w[1])):
                 forced = sum(matching[t] == u for matching in accepted)
                 assert gamma_count_brute_with_pair(g, v, x) == forced
-        several = any(g.w[row - 1][j] > 1 for row in (1, 2) for j in open_columns(g, row))
+        several = any(g.w[row - 1][j] > 1 for row in (1, 2) for j in _open_columns(g, row))
         shared += several and bool(accepted)
     assert shared > 50
 
@@ -538,8 +544,8 @@ def _permutation_walk(g, forced=None):
     col1 = _slot_columns(w1)
     col2 = _slot_columns(w2)
     last1, last2 = _rightmost_slots(w1), _rightmost_slots(w2)
-    rm1 = [(j, last1[j]) for j in open_columns(g, 1) if w1[j]]
-    rm2 = [(j, last2[j]) for j in open_columns(g, 2) if w2[j]]
+    rm1 = [(j, last1[j]) for j in _open_columns(g, 1) if w1[j]]
+    rm2 = [(j, last2[j]) for j in _open_columns(g, 2) if w2[j]]
     total = 0
     inv = [0] * g.s
     for perm in permutations(range(g.s)):

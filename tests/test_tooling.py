@@ -3,7 +3,9 @@
 import ast
 import hashlib
 import importlib.util
+import re
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -114,6 +116,48 @@ def test_unchecked_builds_stay_in_the_generators():
     for path in sorted((ROOT / "src" / "mapenum").glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem, None)
     assert uses == UNCHECKED_BUILDERS
+
+
+# Public names with no caller in src/mapenum or bench, kept as the
+# definitions that tests check the oracles against.
+REFERENCE_DEFINITIONS = {
+    "cycle_count": "the face count of one pairing, which the tally tests check brute's walk against",
+    "enumerate_pairings": "the pairing stream, which the tally tests check brute's walk against",
+}
+
+
+def _names_read(tree):
+    """Names read in a module, as a name or an attribute, outside the
+    top-level definition of that same name."""
+    names = set()
+    for node in tree.body:
+        own = getattr(node, "name", None)
+        for sub in ast.walk(node):
+            name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+            if name is not None and name != own:
+                names.add(name)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that only the tests call is surface to delete, unless it
+    # is a reference definition on purpose
+    import mapenum
+
+    read = set()
+    for path in (ROOT / "src" / "mapenum").glob("*.py"):
+        if path.name != "__init__.py":
+            read |= _names_read(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    bench = "\n".join(path.read_text(encoding="utf-8") for path in (ROOT / "bench").glob("*.py"))
+    uncalled = [
+        name
+        for name in mapenum.__all__
+        if name not in read
+        and name not in REFERENCE_DEFINITIONS
+        and not re.search(rf"\b{name}\b", bench)
+    ]
+    assert uncalled == []
+    assert [name for name in mapenum.__all__ if isinstance(getattr(mapenum, name), ModuleType)] == []
 
 
 def _load_script(relative):

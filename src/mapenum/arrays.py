@@ -315,16 +315,15 @@ class SubstructureOmega:
     w: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for count in (self.K, self.r1, self.r2):
-            _as_int(count, "K and the mark counts")
+        _checked_ints((self.K, self.r1, self.r2), "K and the mark counts")
         try:
-            w = tuple(_as_int(x, "occupancy entries") for x in self.w)
+            w = _checked_ints(tuple(self.w), "occupancy entries")
         except TypeError:
             raise ValueError("occupancy must be a list of integers") from None
         object.__setattr__(self, "w", w)
         if len(w) != self.K or self.K < 1:
             raise ValueError("occupancy length must equal K >= 1")
-        if any(x < 0 for x in w):
+        if min(w) < 0:
             raise ValueError("occupancy must be non-negative")
         if sum(w) == 0:
             raise ValueError("occupancy must hold at least one vertex")

@@ -457,12 +457,25 @@ def _mark_splits(blocks: list[tuple[int, int]], R1: int, R2: int
     R2. Each block's choices are drawn within the marks the blocks before it
     left, in the order of its 4-part compositions, so every split is yielded
     once, in the order of ``itertools.product`` over the blocks.
+
+    The last block takes every mark still left, so its c fixes a = R1 - c,
+    b = R2 - c and e = n - a - b - c. Its splits are the c with a, b >= 0
+    and e >= 0, which is c >= R1 + R2 - n, and e = 0 in the vertex-free
+    block, which is c = R1 + R2 - n. They are yielded by falling c, which
+    is rising a, the order of the compositions. ``_sorted_omega_count``
+    passes its blocks sorted ascending, so its last block holds vertices;
+    a vertex-free last block comes only from direct calls.
     """
     if not blocks:
         if not (R1 or R2):
             yield ()
         return
     (count, n), rest = blocks[0], blocks[1:]
+    if not rest:
+        high = min(R1, R2) if count else min(R1, R2, R1 + R2 - n)
+        for c in range(high, max(R1 + R2 - n, 0) - 1, -1):
+            yield ((R1 - c, R2 - c, c, n - R1 - R2 + c),)
+        return
     for a in range(min(R1, n) + 1):
         for b in range(min(R2, n - a) + 1):
             for c in range(min(R1 - a, R2 - b, n - a - b) + 1):

@@ -164,7 +164,20 @@ def sweep_omega(max_K: int = 4, max_s: int = 5) -> list[str]:
 
 
 def _random_nonempty_subset(rng: random.Random, K: int) -> frozenset[int]:
-    return frozenset(rng.sample(range(K), rng.randint(1, K)))
+    """``frozenset(rng.sample(range(K), rng.randint(1, K)))``, with the same
+    draws. For K <= 21, ``random.sample`` picks each of its k entries with one
+    ``randrange`` over the entries not yet picked, moving the last of those
+    into the gap; this does the same without its per-call set-up."""
+    k = rng.randint(1, K)
+    if K > 21:  # sample may then draw through a set instead
+        return frozenset(rng.sample(range(K), k))
+    pool = list(range(K))
+    marks = []
+    for last in range(K - 1, K - k - 1, -1):
+        j = rng.randrange(last + 1)
+        marks.append(pool[j])
+        pool[j] = pool[last]
+    return frozenset(marks)
 
 
 def _top_up(rng: random.Random, w: list[int], s: int) -> tuple[int, ...]:
@@ -335,10 +348,9 @@ def _draw_pointing(rng: random.Random) -> _LemmaDraw:
         K, r1, r2, phi = _random_lemma_base(rng)
         g = _random_gamma(rng, K, rng.randint(2, 6), phi, r1, r2)
         w1, w2 = g.w
-        crit = arrays.critical_vertices(g)
-        xs = [j for j in range(K) if (1, j) in crit]
+        xs, crit2 = g._crit
         # cells with a non-critical vertex: more vertices than critical ones
-        ys = [j for j in range(K) if w2[j] > ((2, j) in crit)]
+        ys = [j for j in range(K) if w2[j] > (j in crit2)]
         choices = [(x, y) for x in xs for y in ys if x != y]
         if choices:
             X, Y = rng.choice(choices)
@@ -360,9 +372,7 @@ def _draw_merging(rng: random.Random) -> _LemmaDraw:
         w1 = _top_up(rng, [1 if j in need1 else 0 for j in range(K)], s)
         w2 = _top_up(rng, [1 if j in need2 else 0 for j in range(K)], s)
         g = SubstructureGamma._unchecked((w1, w2), r1, r2, phi)
-        crit = arrays.critical_vertices(g)
-        xs = [j for j in range(K) if (1, j) in crit]
-        ys = [j for j in range(K) if (2, j) in crit]
+        xs, ys = g._crit
         choices = [(x, y) for x in xs for y in ys if x != y]
         if choices and arrays.check_full(g):
             X, Y = rng.choice(choices)

@@ -646,6 +646,18 @@ _W = ((1, 1), (1, 1))
         (_W, {0}, {0}, {1: 2}, "arrow (1, 2) out of range"),
         (((1, 1), (1, 0)), {0}, {0}, {}, "both rows must carry the same number of vertices"),
         (((), ()), {0}, {0}, {}, "need at least one column"),
+        # rows and mark sets as lists, and arrows as a list of pairs
+        ([[1, 1], [1, True]], [0], [0], [], "occupancy entries must be integers, got True"),
+        ([[1, 1], [1]], [0], [0], [], "occupancy must be a 2 x K matrix"),
+        ([[1, -1], [0, 0]], [0], [0], [], "occupancy must be non-negative"),
+        ([[0, 1], [1, 0.0]], [0], [0], [], "occupancy entries must be integers, got 0.0"),
+        (_W, [], [0], [], "R1 must mark at least one column"),
+        (_W, [0], [0, 2], [], "R2 contains a column outside 0..1"),
+        (_W, [0, False], [0], [], "R1 columns must be integers, got False"),
+        (_W, [0], [0], [(1, True)], "arrow heads must be integers, got True"),
+        (_W, [0], [0], [(0, 1)], "column 0 is marked in row 1 and cannot hold an arrow tail"),
+        (_W, [0], [0], [(1, -1)], "arrow (1, -1) out of range"),
+        (((1, 1, 1), (1, 1, 1)), [0], [0], [(1, 0), (1, 0)], "each column may carry at most one arrow tail"),
     ],
 )
 def test_gamma_rejects_malformed_fields_with_its_message(w, r1, r2, phi, message):
@@ -663,11 +675,37 @@ def test_gamma_rejects_malformed_fields_with_its_message(w, r1, r2, phi, message
         (((2,), (1,)), (1, 2, 0), "pairing must be a fixed-point-free involution on the slots"),
         (((1,), (1,)), (2, 0), "pairing must be a fixed-point-free involution on the slots"),
         (((1,), (1,)), (-1, 0), "pairing must be a fixed-point-free involution on the slots"),
+        ([[1], [1]], [1, 1], "pairing must be a fixed-point-free involution on the slots"),
+        ([[2], [2]], [1, 0, 3, 4], "pairing must be a fixed-point-free involution on the slots"),
+        ([[2], [2]], [2, 3, 0, 0], "pairing must be a fixed-point-free involution on the slots"),
+        ([[1], [1]], [1, 0.0], "pairing entries must be integers, got 0.0"),
     ],
 )
 def test_paired_array_rejects_a_bad_pairing_with_its_message(w, pairing, message):
     with pytest.raises(ValueError) as caught:
         PairedArray(w, {0}, {0}, pairing)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "K, R1, R2, w, message",
+    [
+        (2, 1, 1, [1, -1], "occupancy must be non-negative"),
+        (2, 1, 1, [1, True], "occupancy entries must be integers, got True"),
+        (2, 1, 1, (0.0, 1), "occupancy entries must be integers, got 0.0"),
+        (2, 1, 1, 5, "occupancy must be a list of integers"),
+        (2, 1, 1, [1], "occupancy length must equal K >= 1"),
+        (0, 1, 1, [], "occupancy length must equal K >= 1"),
+        (2, 1, 1, [0, 0], "occupancy must hold at least one vertex"),
+        (2, 0, 1, [1, 0], "mark counts must satisfy 1 <= R_i <= K"),
+        (2, 1, 3, (1, 0), "mark counts must satisfy 1 <= R_i <= K"),
+        (2, True, 1, [1, 0], "K and the mark counts must be integers, got True"),
+        ("2", 1, 1.0, [1, 0], "K and the mark counts must be integers, got '2'"),
+    ],
+)
+def test_omega_rejects_malformed_fields_with_its_message(K, R1, R2, w, message):
+    with pytest.raises(ValueError) as caught:
+        SubstructureOmega(K, R1, R2, w)
     assert str(caught.value) == message
 
 
@@ -683,6 +721,8 @@ def test_int_subclass_entries_build_the_plain_int_substructure():
     assert sub == plain
     assert sub.tails == plain.tails and critical_vertices(sub) == critical_vertices(plain)
     assert gamma_count_brute(sub) == gamma_count_brute(plain)
+    omega = SubstructureOmega(Column(3), 1, Column(2), [2, Column(0), 1])
+    assert omega == SubstructureOmega(3, 1, 2, (2, 0, 1)) and type(omega.w) is tuple
 
 
 @pytest.mark.parametrize("row", [0, 3])

@@ -23,6 +23,7 @@ from mapenum.brute import (
     _column_orbits,
     _compositions,
     _count_forest_matchings,
+    _mark_splits,
     _pairing_tally,
     _sorted_omega_count,
     _surjections,
@@ -674,20 +675,29 @@ def test_one_walk_per_mark_orbit_matches_the_covering_pair_sum():
     assert omega_count_brute(wide) == omega_count_formula(wide) == 3780
 
 
-def _product_filter_omega_count(K, R1, R2, w):
-    """``_sorted_omega_count`` as first written: every product of the
-    blocks' (a, b, c, e) choices, kept when its marks add up to R1 and R2,
-    each walked on a checked substructure."""
-    blocks = [(count, len(list(run))) for count, run in groupby(w)]
+def _blocks(w):
+    return [(count, len(list(run))) for count, run in groupby(w)]
+
+
+def _product_filter_splits(blocks, R1, R2):
+    """The mark splits as ``_sorted_omega_count`` first found them: every
+    product of the blocks' (a, b, c, e) choices, kept when its marks add up
+    to R1 and R2."""
     choices = [[(a, b, c, n - a - b - c)
                 for a in range(min(R1, n) + 1)
                 for b in range(min(R2, n - a) + 1)
                 for c in range(min(R1 - a, R2 - b, n - a - b) + 1)
                 if count or a + b + c == n] for count, n in blocks]
+    return [split for split in product(*choices)
+            if sum(a + c for a, _, c, _ in split) == R1 and sum(b + c for _, b, c, _ in split) == R2]
+
+
+def _product_filter_omega_count(K, R1, R2, w):
+    """``_sorted_omega_count`` as first written: every split the product
+    filter keeps, walked on a checked substructure."""
+    blocks = _blocks(w)
     total = 0
-    for split in product(*choices):
-        if sum(a + c for a, _, c, _ in split) != R1 or sum(b + c for _, b, c, _ in split) != R2:
-            continue
+    for split in _product_filter_splits(blocks, R1, R2):
         r1, r2 = [], []
         start = 0
         for (a, b, c, _), (_, n) in zip(split, blocks):
@@ -710,6 +720,35 @@ def test_mark_splits_match_the_product_filter_reference():
                         assert _sorted_omega_count(K, R1, R2, w) == _product_filter_omega_count(K, R1, R2, w)
                         cases += 1
     assert cases == 1380
+
+
+def test_mark_splits_are_the_product_filter_splits_in_its_order():
+    # the last block's splits are solved from the marks left, not searched
+    cases = yielded = 0
+    for K in range(1, 7):
+        for s in range(1, 7):
+            for w in {tuple(sorted(w)) for w in _compositions(s, K)}:
+                for R1 in range(K + 2):
+                    for R2 in range(K + 2):
+                        splits = list(_mark_splits(_blocks(w), R1, R2))
+                        assert splits == _product_filter_splits(_blocks(w), R1, R2)
+                        cases += 1
+                        yielded += len(splits)
+    assert (cases, yielded) == (5008, 14852)
+
+
+@pytest.mark.parametrize("blocks", [[(0, 3)], [(0, 1)], [(2, 2), (0, 3)], [(1, 1), (0, 2)]])
+def test_mark_splits_with_a_vertex_free_last_block(blocks):
+    # sorted occupancies put the vertex-free block first, so only direct
+    # calls reach a vertex-free last block, where e = 0 fixes c
+    for R1 in range(7):
+        for R2 in range(7):
+            splits = list(_mark_splits(blocks, R1, R2))
+            assert splits == _product_filter_splits(blocks, R1, R2)
+            assert all(split[-1][3] == 0 for split in splits)
+    # a lone vertex-free block: every column marked, c of them in both rows
+    assert list(_mark_splits([(0, 3)], 2, 2)) == [((1, 1, 1, 0),)]
+    assert list(_mark_splits([(0, 3)], 1, 1)) == []
 
 
 def test_wide_vertex_free_block_walks_only_the_choices_its_marks_allow():

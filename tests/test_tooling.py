@@ -210,6 +210,47 @@ def test_random_instance_stream_is_pinned(monkeypatch):
     assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == INSTANCE_STREAM_SHA256
 
 
+# The same at the sizes and seeds of the substructure-sweep benchmark
+# workload: sweep_gamma(600, 0), sweep_gamma_noarrows(600, 1) and
+# sweep_lemmas(300, 2).
+BENCH_STREAM_SHA256 = "9ea0a16b5504091b7e5a2170b43fa0a9e2c9c13025983e1761450db0b4361d85"
+
+
+def test_benchmark_instance_stream_is_pinned(monkeypatch):
+    # a faster draw must keep the benchmark's instances, or its timings
+    # would compare different work
+    from mapenum import brute, verify
+
+    seen = []
+
+    def record(g, *pair):
+        seen.append(" ".join([g.to_json(), *map(str, pair)]))
+        return 0
+
+    monkeypatch.setattr(brute, "gamma_count_brute", record)
+    monkeypatch.setattr(brute, "gamma_count_brute_with_pair", record)
+    verify.sweep_gamma(600, 0)
+    verify.sweep_gamma_noarrows(600, 1)
+    verify.sweep_lemmas(300, 2)
+    assert len(seen) == 3600
+    assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == BENCH_STREAM_SHA256
+
+
+@pytest.mark.parametrize("K", range(1, 25))
+def test_mark_set_draw_is_random_sample(K):
+    # the draw makes random.sample's calls for K <= 21, and calls it for
+    # larger K, so the state it leaves behind, and every later draw, is the same
+    import random
+
+    from mapenum.verify import _random_nonempty_subset
+
+    for seed in range(300):
+        ours, reference = random.Random(seed), random.Random(seed)
+        expected = frozenset(reference.sample(range(K), reference.randint(1, K)))
+        assert _random_nonempty_subset(ours, K) == expected
+        assert ours.getstate() == reference.getstate()
+
+
 @pytest.mark.parametrize(
     "sweep, args, expected",
     [

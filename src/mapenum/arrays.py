@@ -117,6 +117,15 @@ def _rightmost_slots(w: Sequence[int], base: int = 0) -> list[int]:
     return rightmost
 
 
+def _row_cells(w: Sequence[int], closed: AbstractSet[int]
+               ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The open columns of a row with occupancy ``w`` whose cells in the
+    columns ``closed`` hold a mark or (row 1) an arrow tail, and those of
+    them that hold a vertex: the columns of the row's critical vertices."""
+    open_ = tuple(filterfalse(closed.__contains__, range(len(w))))
+    return open_, tuple(filter(w.__getitem__, open_))
+
+
 class _Cells:
     """The 2 x K cells shared by arrays and substructures: occupancy ``w``,
     marked columns ``r1`` and ``r2``, and ``arrows`` as sorted (tail, head)
@@ -125,8 +134,10 @@ class _Cells:
     The cell structure is worked out once, when the fields have passed their
     checks: ``tails``, the arrow tails, ``_open``, the open columns of row i
     at index i - 1, and ``_crit``, those of them that hold a vertex (the
-    columns of row i's critical vertices). ``_store_cells`` holds the one
-    definition of an open cell; every reader takes ``_open`` or ``_crit``.
+    columns of row i's critical vertices). ``_row_cells`` holds the one
+    definition of an open cell; every reader takes ``_open`` or ``_crit``,
+    except the sweep draws of ``verify``, which apply ``_row_cells`` to a
+    candidate's rows to reject it before it is built.
     """
 
     tails: frozenset[int]
@@ -143,15 +154,12 @@ class _Cells:
 
     def _store_cells(self) -> None:
         tails = frozenset([t for t, _ in self.arrows])
-        w1, w2 = self.w
-        columns = range(len(w1))
-        open1 = tuple(filterfalse((self.r1 | tails).__contains__, columns))
-        open2 = tuple(filterfalse(self.r2.__contains__, columns))
+        open1, crit1 = _row_cells(self.w[0], self.r1 | tails)
+        open2, crit2 = _row_cells(self.w[1], self.r2)
         object.__setattr__(self, "tails", tails)
         object.__setattr__(self, "_open", (open1, open2))
-        object.__setattr__(self, "_crit", (
-            tuple(filter(w1.__getitem__, open1)), tuple(filter(w2.__getitem__, open2))
-        ))
+        object.__setattr__(self, "_crit", (crit1, crit2))
+
 
 
 # ----------------------------------------------------------------------

@@ -157,33 +157,79 @@ def sweep_omega(max_K: int = 4, max_s: int = 5) -> list[str]:
 # Random substructures
 # ----------------------------------------------------------------------
 
-# The draws build with SubstructureGamma._unchecked: each makes rows of
-# plain ints with equal sums, non-empty mark sets within 0..K-1 and arrow
-# tails outside r1, so the constructor's checks would pass. The rewrites of
-# the lemma suite build through the constructor.
+# The draws call the generator through _randbelow, _sample and _shuffle,
+# which make the very getrandbits calls of random.Random's randrange,
+# randint, choice, sample and shuffle, so every instance and the generator
+# state are what those methods give; the loops of _top_up and _sample run
+# the getrandbits loop inline. The draws build with
+# SubstructureGamma._unchecked: each makes rows of plain ints with equal
+# sums, non-empty mark sets within 0..K-1 and arrow tails outside r1, so
+# the constructor's checks would pass. The pointing and merging draws
+# decide a candidate from its critical columns (_critical_columns) and
+# build only the one they keep. The rewrites of the lemma suite build
+# through the constructor.
+
+
+def _randbelow(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for n >= 1, with the same draws: the loop of
+    ``random.Random._randbelow_with_getrandbits``, which draws n.bit_length()
+    bits until the value is below n. ``rng.randint(a, b)`` is
+    ``a + _randbelow(rng, b - a + 1)`` and ``rng.choice(seq)`` is
+    ``seq[_randbelow(rng, len(seq))]``."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        if n < 1:  # an empty range rejects every value; only then is it tested
+            raise ValueError(f"empty range: no integer in 0..{n - 1}")
+        r = rng.getrandbits(k)
+    return r
+
+
+def _sample(rng: random.Random, population, k: int) -> list:
+    """``rng.sample(population, k)``, with the same draws. On at most 21
+    items ``random.sample`` picks each of its k entries with one
+    ``_randbelow`` over the items not yet picked, moving the last of those
+    into the gap; this does the same without its per-call set-up."""
+    n = len(population)
+    if n > 21 or not 0 <= k <= n:  # sample may then draw through a set, or it raises
+        return rng.sample(population, k)
+    getrandbits = rng.getrandbits
+    pool = list(population)
+    picked = []
+    for left in range(n, n - k, -1):
+        bits = left.bit_length()
+        j = getrandbits(bits)
+        while j >= left:
+            j = getrandbits(bits)
+        picked.append(pool[j])
+        pool[j] = pool[left - 1]
+    return picked
+
+
+def _shuffle(rng: random.Random, x: list) -> None:
+    """``rng.shuffle(x)``, with the same draws: from the last entry back,
+    swap each with one drawn from it and the entries before it."""
+    for i in range(len(x) - 1, 0, -1):
+        j = _randbelow(rng, i + 1)
+        x[i], x[j] = x[j], x[i]
 
 
 def _random_nonempty_subset(rng: random.Random, K: int) -> frozenset[int]:
-    """``frozenset(rng.sample(range(K), rng.randint(1, K)))``, with the same
-    draws. For K <= 21, ``random.sample`` picks each of its k entries with one
-    ``randrange`` over the entries not yet picked, moving the last of those
-    into the gap; this does the same without its per-call set-up."""
-    k = rng.randint(1, K)
-    if K > 21:  # sample may then draw through a set instead
-        return frozenset(rng.sample(range(K), k))
-    pool = list(range(K))
-    marks = []
-    for last in range(K - 1, K - k - 1, -1):
-        j = rng.randrange(last + 1)
-        marks.append(pool[j])
-        pool[j] = pool[last]
-    return frozenset(marks)
+    """``frozenset(rng.sample(range(K), rng.randint(1, K)))``, with the same draws."""
+    return frozenset(_sample(rng, range(K), 1 + _randbelow(rng, K)))
 
 
 def _top_up(rng: random.Random, w: list[int], s: int) -> tuple[int, ...]:
-    """Add vertices to ``w``, each in a uniformly drawn column, until it holds s."""
+    """Add vertices to ``w``, each in a uniformly drawn column (the draw of
+    ``rng.randrange(len(w))``), until it holds s."""
+    n = len(w)
+    bits = n.bit_length()
+    getrandbits = rng.getrandbits
     for _ in range(s - sum(w)):
-        w[rng.randrange(len(w))] += 1
+        j = getrandbits(bits)
+        while j >= n:
+            j = getrandbits(bits)
+        w[j] += 1
     return tuple(w)
 
 
@@ -197,23 +243,23 @@ def random_full_irreducible(
     zero), "edge" aims for one vertex more than that, None is unconstrained.
     """
     while True:
-        K = rng.randint(1, max_K)
+        K = 1 + _randbelow(rng, max_K)
         if branch == "tight":
             if K < 2:
                 continue
-            open_cols = frozenset(rng.sample(range(K), rng.randint(1, min(K - 1, max_s))))
+            open_cols = frozenset(_sample(rng, range(K), 1 + _randbelow(rng, min(K - 1, max_s))))
             marked = frozenset(range(K)) - open_cols
             w = tuple(1 if j in open_cols else 0 for j in range(K))
             return SubstructureGamma._unchecked((w, w), marked, marked, ())
         r1 = _random_nonempty_subset(rng, K)
         r2 = _random_nonempty_subset(rng, K)
         pool = [j for j in range(K) if j not in r1]
-        rng.shuffle(pool)
-        tails = pool[: rng.randint(0, len(pool))]
+        _shuffle(rng, pool)
+        tails = pool[: _randbelow(rng, len(pool) + 1)]
         heads = [j for j in range(K) if j not in r1 and j not in tails]
         if tails and not heads:
             continue
-        phi = {t: rng.choice(heads) for t in tails}
+        phi = {t: heads[_randbelow(rng, len(heads))] for t in tails}
         need1 = [j for j in range(K) if j not in r1 and j not in tails]
         need2 = [j for j in range(K) if j not in r2]
         minimum = max(len(need1), len(need2), 1)
@@ -225,7 +271,7 @@ def random_full_irreducible(
         else:
             if minimum > max_s:
                 continue
-            s = rng.randint(minimum, max_s)
+            s = minimum + _randbelow(rng, max_s - minimum + 1)
         w1 = _top_up(rng, [1 if j in need1 else 0 for j in range(K)], s)
         w2 = _top_up(rng, [1 if j in need2 else 0 for j in range(K)], s)
         return SubstructureGamma._unchecked((w1, w2), r1, r2, phi)
@@ -239,10 +285,10 @@ def random_balanced_noarrows(
     Empty columns and unmarked empty cells are allowed, so most instances
     fail the full condition somewhere.
     """
-    K = rng.randint(1, max_K)
+    K = 1 + _randbelow(rng, max_K)
     r1 = _random_nonempty_subset(rng, K)
     r2 = _random_nonempty_subset(rng, K)
-    s = rng.randint(1, max_s)
+    s = 1 + _randbelow(rng, max_s)
     w = _top_up(rng, [0] * K, s)
     return SubstructureGamma._unchecked((w, w), r1, r2, ())
 
@@ -306,14 +352,22 @@ def sweep_gamma_noarrows(count: int = 200, seed: int = 0) -> list[str]:
 def _random_lemma_base(rng: random.Random) -> tuple[
     int, frozenset[int], frozenset[int], dict[int, int]
 ]:
-    K = rng.randint(2, 5)
+    K = 2 + _randbelow(rng, 4)
     r1 = _random_nonempty_subset(rng, K)
     r2 = _random_nonempty_subset(rng, K)
     phi: dict[int, int] = {}
     for j in range(K):
         if j not in r1 and rng.random() < 0.3:
-            phi[j] = rng.randrange(K)
+            phi[j] = _randbelow(rng, K)
     return K, r1, r2, phi
+
+
+def _critical_columns(w1: tuple[int, ...], w2: tuple[int, ...], r1: frozenset[int],
+                      r2: frozenset[int], phi: dict[int, int]
+                      ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``SubstructureGamma._unchecked((w1, w2), r1, r2, phi)._crit``, without
+    building it: the columns of each row's critical vertices."""
+    return arrays._row_cells(w1, r1.union(phi))[1], arrays._row_cells(w2, r2)[1]
 
 
 # Each draw returns (substructure, forced slot pair or None, rewritten substructure).
@@ -325,9 +379,10 @@ def _draw_to_mark(rng: random.Random) -> _LemmaDraw:
         K, r1, r2, phi = _random_lemma_base(rng)
         free = [j for j in range(K) if j not in r1]
         if free:
-            X = rng.choice(free)
-            phi[X] = rng.choice(sorted(r1))
-            g = _random_gamma(rng, K, rng.randint(1, 6), phi, r1, r2)
+            X = free[_randbelow(rng, len(free))]
+            marked = sorted(r1)
+            phi[X] = marked[_randbelow(rng, len(marked))]
+            g = _random_gamma(rng, K, 1 + _randbelow(rng, 6), phi, r1, r2)
             return g, None, transforms.arrow_simplify_to_mark(g, X)
 
 
@@ -336,24 +391,26 @@ def _draw_retarget(rng: random.Random) -> _LemmaDraw:
         K, r1, r2, phi = _random_lemma_base(rng)
         free = [j for j in range(K) if j not in r1]
         if len(free) >= 2:
-            X, Y = rng.sample(free, 2)
+            X, Y = _sample(rng, free, 2)
             phi[X] = Y
-            phi[Y] = rng.randrange(K)  # Z may equal X: the two-cycle case
-            g = _random_gamma(rng, K, rng.randint(1, 6), phi, r1, r2)
+            phi[Y] = _randbelow(rng, K)  # Z may equal X: the two-cycle case
+            g = _random_gamma(rng, K, 1 + _randbelow(rng, 6), phi, r1, r2)
             return g, None, transforms.arrow_simplify_retarget(g, X)
 
 
 def _draw_pointing(rng: random.Random) -> _LemmaDraw:
     while True:
         K, r1, r2, phi = _random_lemma_base(rng)
-        g = _random_gamma(rng, K, rng.randint(2, 6), phi, r1, r2)
-        w1, w2 = g.w
-        xs, crit2 = g._crit
+        s = 2 + _randbelow(rng, 5)
+        w1 = _top_up(rng, [0] * K, s)
+        w2 = _top_up(rng, [0] * K, s)
+        xs, crit2 = _critical_columns(w1, w2, r1, r2, phi)
         # cells with a non-critical vertex: more vertices than critical ones
         ys = [j for j in range(K) if w2[j] > (j in crit2)]
         choices = [(x, y) for x in xs for y in ys if x != y]
         if choices:
-            X, Y = rng.choice(choices)
+            g = SubstructureGamma._unchecked((w1, w2), r1, r2, phi)
+            X, Y = choices[_randbelow(rng, len(choices))]
             pair = (X, w1[X] - 1), (Y, w2[Y] - 1 if Y in r2 else 0)
             return g, pair, transforms.column_pointing(g, X, Y)
 
@@ -361,21 +418,25 @@ def _draw_pointing(rng: random.Random) -> _LemmaDraw:
 def _draw_merging(rng: random.Random) -> _LemmaDraw:
     """A full substructure with a critical pair in distinct columns.
 
-    K <= 5 keeps the lower bound of s, one vertex per column that needs one,
-    below its cap of 6.
+    Each open cell gets one vertex before the top-up, so every draw is full
+    and is rejected only when no critical pair sits in distinct columns;
+    ``transforms.column_merging`` still checks the condition, and
+    ``sweep_lemmas`` that the rewrite keeps it. K <= 5 keeps the lower bound
+    of s, one vertex per column that needs one, below its cap of 6.
     """
     while True:
         K, r1, r2, phi = _random_lemma_base(rng)
         need1 = [j for j in range(K) if j not in r1 and j not in phi]
         need2 = [j for j in range(K) if j not in r2]
-        s = rng.randint(max(len(need1), len(need2), 1), 6)
+        low = max(len(need1), len(need2), 1)
+        s = low + _randbelow(rng, 6 - low + 1)
         w1 = _top_up(rng, [1 if j in need1 else 0 for j in range(K)], s)
         w2 = _top_up(rng, [1 if j in need2 else 0 for j in range(K)], s)
-        g = SubstructureGamma._unchecked((w1, w2), r1, r2, phi)
-        xs, ys = g._crit
+        xs, ys = _critical_columns(w1, w2, r1, r2, phi)
         choices = [(x, y) for x in xs for y in ys if x != y]
-        if choices and arrays.check_full(g):
-            X, Y = rng.choice(choices)
+        if choices:
+            g = SubstructureGamma._unchecked((w1, w2), r1, r2, phi)
+            X, Y = choices[_randbelow(rng, len(choices))]
             return g, ((X, w1[X] - 1), (Y, w2[Y] - 1)), transforms.column_merging(g, X, Y)
 
 

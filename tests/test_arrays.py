@@ -376,13 +376,38 @@ def test_unchecked_builds_equal_the_checked_constructor(monkeypatch):
         verify.sweep_gamma_noarrows(600, seed)
         verify.sweep_lemmas(300, seed)
     verify.sweep_omega(4, 6)
-    assert len(built) == 12884
+    # the pointing and merging draws build only the candidates they keep
+    assert len(built) == 9803
     for parts, g in built:
         checked = SubstructureGamma(*parts)
         for name in ("w", "r1", "r2", "arrows", "tails", "_open", "_crit"):
             assert getattr(g, name) == getattr(checked, name)
             assert type(getattr(g, name)) is type(getattr(checked, name))
         assert repr(g) == repr(checked)
+
+
+def test_draw_critical_columns_equal_the_built_substructure(monkeypatch):
+    # the pointing and merging draws reject a candidate from its critical
+    # columns before building it: on every candidate of the benchmark's lemma
+    # sweep, kept or rejected, they are the built substructure's _crit
+    from mapenum import brute, verify
+
+    seen = []
+    critical_columns = verify._critical_columns
+
+    def record(w1, w2, r1, r2, phi):
+        crit = critical_columns(w1, w2, r1, r2, phi)
+        seen.append(((w1, w2), r1, r2, dict(phi), crit))
+        return crit
+
+    monkeypatch.setattr(verify, "_critical_columns", record)
+    for name in ("gamma_count_brute", "gamma_count_brute_with_pair"):
+        monkeypatch.setattr(brute, name, lambda *args: 0)
+    verify.sweep_lemmas(300, 2)
+    # 300 kept candidates for each of the two draws, and the rejected ones
+    assert len(seen) == 1649
+    for w, r1, r2, phi, crit in seen:
+        assert crit == SubstructureGamma(w, r1, r2, phi)._crit
 
 
 def test_is_irreducible():

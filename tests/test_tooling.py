@@ -97,6 +97,7 @@ UNCHECKED_BUILDERS = {
     ("verify", "random_full_irreducible", "SubstructureGamma"),
     ("verify", "random_balanced_noarrows", "SubstructureGamma"),
     ("verify", "_random_gamma", "SubstructureGamma"),
+    ("verify", "_draw_pointing", "SubstructureGamma"),
     ("verify", "_draw_merging", "SubstructureGamma"),
 }
 
@@ -249,6 +250,58 @@ def test_mark_set_draw_is_random_sample(K):
         expected = frozenset(reference.sample(range(K), reference.randint(1, K)))
         assert _random_nonempty_subset(ours, K) == expected
         assert ours.getstate() == reference.getstate()
+
+
+def _shuffled(shuffle, population):
+    x = list(population)
+    shuffle(x)
+    return x
+
+
+@pytest.mark.parametrize("primitive", ["randbelow", "randint", "choice", "shuffle", "sample"])
+def test_draw_primitives_make_the_random_module_calls(primitive):
+    # the draws reach getrandbits without random.py's frames; each value, and
+    # the generator state left behind, must be what the module's method gives
+    import random
+
+    from mapenum.verify import _randbelow, _sample, _shuffle
+
+    ours, reference = {
+        "randbelow": (lambda rng, n, seq, a, k: _randbelow(rng, n),
+                      lambda rng, n, seq, a, k: rng.randrange(n)),
+        "randint": (lambda rng, n, seq, a, k: a + _randbelow(rng, (a + n - 1) - a + 1),
+                    lambda rng, n, seq, a, k: rng.randint(a, a + n - 1)),
+        "choice": (lambda rng, n, seq, a, k: seq[_randbelow(rng, len(seq))],
+                   lambda rng, n, seq, a, k: rng.choice(seq)),
+        "shuffle": (lambda rng, n, seq, a, k: _shuffled(lambda x: _shuffle(rng, x), seq),
+                    lambda rng, n, seq, a, k: _shuffled(rng.shuffle, seq)),
+        "sample": (lambda rng, n, seq, a, k: (_sample(rng, seq, k), _sample(rng, range(n), k)),
+                   lambda rng, n, seq, a, k: (rng.sample(seq, k), rng.sample(range(n), k))),
+    }[primitive]
+    for seed in range(200):
+        # one stream per seed: each call starts from the state the last one left
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for n in range(1, 71):
+            args = (n, [3 * j + 1 for j in range(n)], seed % 5 - 2, seed % (n + 1))
+            assert ours(mine, *args) == reference(theirs, *args)
+            assert mine.getstate() == theirs.getstate()
+
+
+def test_draw_primitives_reject_an_empty_range():
+    # the random module raises on an empty range, where a getrandbits loop
+    # would never end; so does a sweep given no columns
+    import random
+
+    from mapenum import verify
+
+    for n in (0, -1, -5):
+        with pytest.raises(ValueError, match="empty range"):
+            verify._randbelow(random.Random(0), n)
+    for k in (-1, 4):
+        with pytest.raises(ValueError):
+            verify._sample(random.Random(0), range(3), k)
+    with pytest.raises(ValueError):
+        verify.sweep_gamma(3, 0, max_K=0)
 
 
 @pytest.mark.parametrize(

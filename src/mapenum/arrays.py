@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import AbstractSet, Mapping, NamedTuple, Sequence, Union
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .exact import _as_int, _checked_ints
 
@@ -117,13 +117,30 @@ def _rightmost_slots(w: Sequence[int], base: int = 0) -> list[int]:
     return rightmost
 
 
-def _row_cells(w: Sequence[int], closed: AbstractSet[int]
-               ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The open columns of a row with occupancy ``w`` whose cells in the
-    columns ``closed`` hold a mark or (row 1) an arrow tail, and those of
-    them that hold a vertex: the columns of the row's critical vertices."""
-    open_ = tuple(filterfalse(closed.__contains__, range(len(w))))
-    return open_, tuple(filter(w.__getitem__, open_))
+_Columns = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _open_columns(K: int, r1: frozenset[int], r2: frozenset[int],
+                  tails: Iterable[int]) -> _Columns:
+    """The open columns of each row, row 1 first, on K columns with marks
+    ``r1`` and ``r2`` and arrow tails ``tails``: the one definition of an
+    open cell."""
+    return (tuple(filterfalse(r1.union(tails).__contains__, range(K))),
+            tuple(filterfalse(r2.__contains__, range(K))))
+
+
+def _occupied_columns(w: tuple[Sequence[int], Sequence[int]], cols: _Columns) -> _Columns:
+    """The columns of each row of ``cols`` whose cell holds a vertex under
+    occupancy ``w``: on the open columns, the columns of each row's critical
+    vertices."""
+    return tuple(filter(w[0].__getitem__, cols[0])), tuple(filter(w[1].__getitem__, cols[1]))
+
+
+def _count_A(cols: _Columns) -> int:
+    """A, the number of columns in both rows of ``cols``: on a substructure's
+    ``_crit``, the columns whose two cells both hold a critical vertex. It
+    picks the branch of the substructure formula."""
+    return len(set(cols[0]).intersection(cols[1]))
 
 
 class _Cells:
@@ -133,16 +150,16 @@ class _Cells:
 
     The cell structure is worked out once, when the fields have passed their
     checks: ``tails``, the arrow tails, ``_open``, the open columns of row i
-    at index i - 1, and ``_crit``, those of them that hold a vertex (the
-    columns of row i's critical vertices). ``_row_cells`` holds the one
-    definition of an open cell; every reader takes ``_open`` or ``_crit``,
-    except the sweep draws of ``verify``, which apply ``_row_cells`` to a
-    candidate's rows to reject it before it is built.
+    at index i - 1 (``_open_columns``), and ``_crit``, those of them that
+    hold a vertex, the columns of row i's critical vertices
+    (``_occupied_columns``). Every reader takes ``_open`` or ``_crit``,
+    except the sweep draws of ``verify``, which call the same two functions
+    on a candidate's parts to steer or reject it before it is built.
     """
 
     tails: frozenset[int]
-    _open: tuple[tuple[int, ...], tuple[int, ...]]
-    _crit: tuple[tuple[int, ...], tuple[int, ...]]
+    _open: _Columns
+    _crit: _Columns
 
     @property
     def K(self) -> int:
@@ -154,11 +171,10 @@ class _Cells:
 
     def _store_cells(self) -> None:
         tails = frozenset([t for t, _ in self.arrows])
-        open1, crit1 = _row_cells(self.w[0], self.r1 | tails)
-        open2, crit2 = _row_cells(self.w[1], self.r2)
+        open_ = _open_columns(len(self.w[0]), self.r1, self.r2, tails)
         object.__setattr__(self, "tails", tails)
-        object.__setattr__(self, "_open", (open1, open2))
-        object.__setattr__(self, "_crit", (crit1, crit2))
+        object.__setattr__(self, "_open", open_)
+        object.__setattr__(self, "_crit", _occupied_columns(self.w, open_))
 
 
 
@@ -208,10 +224,6 @@ class PairedArray(_Cells):
     @property
     def p1(self) -> int:
         return sum(self.w[0])
-
-    @property
-    def p2(self) -> int:
-        return sum(self.w[1])
 
     def is_mixed_slot(self, t: int) -> bool:
         return (t < self.p1) != (self.pairing[t] < self.p1)
@@ -266,22 +278,19 @@ class SubstructureGamma(_Cells):
 
     @classmethod
     def _unchecked(cls, w: tuple[tuple[int, ...], tuple[int, ...]], r1: frozenset[int],
-                   r2: frozenset[int], arrows: Union[tuple[tuple[int, int], ...], dict[int, int]]
-                   ) -> "SubstructureGamma":
+                   r2: frozenset[int], arrows: dict[int, int]) -> "SubstructureGamma":
         """A SubstructureGamma on parts already known to pass the checks of
         ``__post_init__``, built without running them: rows of plain ints as
-        tuples, mark sets as frozensets, and arrows as sorted (tail, head)
-        pairs or a dict, which is stored as its sorted items. Only for parts
-        this package generates itself: the sweep draws of ``verify`` and the
+        tuples, mark sets as frozensets, and arrows as a dict from tail to
+        head, which is stored as its sorted items. Only for parts this
+        package generates itself: the sweep draws of ``verify`` and the
         mark-set walk of ``brute``. Input from outside goes through the
         constructor."""
         g = object.__new__(cls)
-        if type(arrows) is dict:
-            arrows = tuple(sorted(arrows.items()))
         object.__setattr__(g, "w", w)
         object.__setattr__(g, "r1", r1)
         object.__setattr__(g, "r2", r2)
-        object.__setattr__(g, "arrows", arrows)
+        object.__setattr__(g, "arrows", tuple(sorted(arrows.items())))
         g._store_cells()
         return g
 
@@ -501,21 +510,20 @@ def arrow_cycle(phi: Mapping[int, int]) -> tuple[int, ...]:
 
 _KINDS = ("a", "abar", "atil", "b", "c", "cbar", "ctil", "d")
 # index in ColumnTally of each kind's row-1 total; its row-2 total follows
-_AT = {kind: 1 + 2 * i for i, kind in enumerate(_KINDS)}
+_AT = {kind: 2 * i for i, kind in enumerate(_KINDS)}
 
 
 class ColumnTally(NamedTuple):
     """Column-type census of an irreducible substructure.
 
-    ``A`` counts the columns unmarked in both rows (outside the arrow
-    tails); the remaining fields are per-row vertex totals of the eight
-    column types in ``_KINDS``, in that order, row 1 before row 2:
-    plain/bar/tilde variants for heads-into-unmarked (a) and
-    heads-into-row-2-marked (c) targets, plus b (row 1 marked), c (row 2
-    marked), and d (both marked).
+    The fields are per-row vertex totals of the eight column types in
+    ``_KINDS``, in that order, row 1 before row 2: plain/bar/tilde variants
+    for heads-into-unmarked (a) and heads-into-row-2-marked (c) targets,
+    plus b (row 1 marked), c (row 2 marked), and d (both marked). The count
+    A of the substructure formula is not a vertex total: ``_count_A`` counts
+    it from the critical columns.
     """
 
-    A: int
     a1: int = 0
     a2: int = 0
     abar1: int = 0
@@ -547,8 +555,6 @@ def classify_columns(g: SubstructureGamma) -> ColumnTally:
             continue
         m1, m2 = j in g.r1, j in g.r2
         kind = plain_type[j] = "d" if (m1 and m2) else "b" if m1 else "c" if m2 else "a"
-        if kind == "a":
-            counts[0] += 1
         at = _AT[kind]
         counts[at] += w1[j]
         counts[at + 1] += w2[j]

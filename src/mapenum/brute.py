@@ -444,7 +444,7 @@ def _sorted_omega_count(K: int, R1: int, R2: int, w: tuple[int, ...]) -> int:
         # w is sorted from a checked SubstructureOmega, and r1 and r2 are
         # R1- and R2-sets of its columns with 1 <= R_i <= K: the parts pass
         # the constructor's checks
-        g = SubstructureGamma._unchecked((w, w), frozenset(r1), frozenset(r2), ())
+        g = SubstructureGamma._unchecked((w, w), frozenset(r1), frozenset(r2), {})
         total += weight * _count_forest_matchings(g)
     return total
 

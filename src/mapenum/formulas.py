@@ -15,7 +15,7 @@ from operator import mul
 from typing import Callable, Mapping
 
 from .arrays import (
-    SubstructureGamma, SubstructureOmega, check_full, classify_columns, is_irreducible,
+    SubstructureGamma, SubstructureOmega, _count_A, check_full, classify_columns, is_irreducible,
 )
 from .exact import BinomialPoly, CycleCountVector, _as_int, double_factorial, multinomial
 
@@ -185,12 +185,13 @@ def vertical_count_formula(K: int, R1: int, R2: int, s: int) -> int:
 def _substructure_count(g: SubstructureGamma, context: str) -> int:
     """The body of both gamma formulas, from the column tally of ``g``.
 
-    A is the number of columns whose two cells both hold a critical vertex.
-    Zero when s <= A, a single product when s = A+1, and otherwise
+    A is ``arrays._count_A`` of the critical columns: the number of columns
+    whose two cells both hold a critical vertex. Zero when s <= A, a single
+    product when s = A+1, and otherwise
     (s-1)! (first / (s-A) + second / ((s-A)(s-A-1))).
     """
     t = classify_columns(g)
-    A = len(set(g._crit[0]).intersection(g._crit[1]))
+    A = _count_A(g._crit)
     s = g.s
     if s <= A:
         return 0
@@ -205,9 +206,9 @@ def _substructure_count(g: SubstructureGamma, context: str) -> int:
 def gamma_count_formula(g: SubstructureGamma) -> int:
     """Arrays satisfying an irreducible full substructure.
 
-    A counts the columns whose two cells both hold a critical vertex; the
-    full condition makes these the doubly-unmarked arrow-free columns, the A
-    of ``classify_columns``.
+    A, which ``arrays._count_A`` counts, is the number of columns whose two
+    cells both hold a critical vertex; the full condition makes these the
+    doubly-unmarked arrow-free columns.
     """
     if g.s < 1:
         raise ValueError("the substructure must carry at least one vertex per row")

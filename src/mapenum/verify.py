@@ -164,10 +164,12 @@ def sweep_omega(max_K: int = 4, max_s: int = 5) -> list[str]:
 # the getrandbits loop inline. The draws build with
 # SubstructureGamma._unchecked: each makes rows of plain ints with equal
 # sums, non-empty mark sets within 0..K-1 and arrow tails outside r1, so
-# the constructor's checks would pass. The pointing and merging draws
-# decide a candidate from its critical columns (_critical_columns) and
-# build only the one they keep. The rewrites of the lemma suite build
-# through the constructor.
+# the constructor's checks would pass. Which cells are open and critical is
+# decided in arrays alone: random_full_irreducible and the merging draw
+# give each open cell (arrays._open_columns) a vertex before the top-up,
+# and the pointing and merging draws narrow a candidate's open columns to
+# its critical ones (arrays._occupied_columns), to build only the candidate
+# they keep. The rewrites of the lemma suite build through the constructor.
 
 
 def _randbelow(rng: random.Random, n: int) -> int:
@@ -247,33 +249,32 @@ def random_full_irreducible(
         if branch == "tight":
             if K < 2:
                 continue
-            open_cols = frozenset(_sample(rng, range(K), 1 + _randbelow(rng, min(K - 1, max_s))))
-            marked = frozenset(range(K)) - open_cols
-            w = tuple(1 if j in open_cols else 0 for j in range(K))
-            return SubstructureGamma._unchecked((w, w), marked, marked, ())
+            unmarked = frozenset(_sample(rng, range(K), 1 + _randbelow(rng, min(K - 1, max_s))))
+            marked = frozenset(range(K)) - unmarked
+            w = tuple(1 if j in unmarked else 0 for j in range(K))
+            return SubstructureGamma._unchecked((w, w), marked, marked, {})
         r1 = _random_nonempty_subset(rng, K)
         r2 = _random_nonempty_subset(rng, K)
         pool = [j for j in range(K) if j not in r1]
         _shuffle(rng, pool)
         tails = pool[: _randbelow(rng, len(pool) + 1)]
-        heads = [j for j in range(K) if j not in r1 and j not in tails]
-        if tails and not heads:
+        open1, open2 = arrays._open_columns(K, r1, r2, tails)
+        # irreducible: every head sits in an open row-1 cell
+        if tails and not open1:
             continue
-        phi = {t: heads[_randbelow(rng, len(heads))] for t in tails}
-        need1 = [j for j in range(K) if j not in r1 and j not in tails]
-        need2 = [j for j in range(K) if j not in r2]
-        minimum = max(len(need1), len(need2), 1)
+        phi = {t: open1[_randbelow(rng, len(open1))] for t in tails}
+        minimum = max(len(open1), len(open2), 1)
         if branch == "edge":
-            A = sum(1 for j in need1 if j not in r2)
-            s = A + 1
+            # each open cell gets a vertex below, so these are the critical columns
+            s = arrays._count_A((open1, open2)) + 1
             if s < minimum or s > max_s:
                 continue
         else:
             if minimum > max_s:
                 continue
             s = minimum + _randbelow(rng, max_s - minimum + 1)
-        w1 = _top_up(rng, [1 if j in need1 else 0 for j in range(K)], s)
-        w2 = _top_up(rng, [1 if j in need2 else 0 for j in range(K)], s)
+        w1 = _top_up(rng, [1 if j in open1 else 0 for j in range(K)], s)
+        w2 = _top_up(rng, [1 if j in open2 else 0 for j in range(K)], s)
         return SubstructureGamma._unchecked((w1, w2), r1, r2, phi)
 
 
@@ -290,7 +291,7 @@ def random_balanced_noarrows(
     r2 = _random_nonempty_subset(rng, K)
     s = 1 + _randbelow(rng, max_s)
     w = _top_up(rng, [0] * K, s)
-    return SubstructureGamma._unchecked((w, w), r1, r2, ())
+    return SubstructureGamma._unchecked((w, w), r1, r2, {})
 
 
 def _random_gamma(rng: random.Random, K: int, s: int, phi: dict[int, int],
@@ -314,10 +315,8 @@ def sweep_gamma(
     modes = ("tight", "edge", None, None)
     for i in range(count):
         g = random_full_irreducible(rng, max_K, max_s, branch=modes[i % len(modes)])
-        tally = arrays.classify_columns(g)
-        branch = (
-            "zero" if g.s <= tally.A else "edge" if g.s == tally.A + 1 else "general"
-        )
+        A = arrays._count_A(g._crit)
+        branch = "zero" if g.s <= A else "edge" if g.s == A + 1 else "general"
         branches[branch] += 1
         formula = formulas.gamma_count_formula(g)
         enumerated = brute.gamma_count_brute(g)
@@ -362,14 +361,6 @@ def _random_lemma_base(rng: random.Random) -> tuple[
     return K, r1, r2, phi
 
 
-def _critical_columns(w1: tuple[int, ...], w2: tuple[int, ...], r1: frozenset[int],
-                      r2: frozenset[int], phi: dict[int, int]
-                      ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``SubstructureGamma._unchecked((w1, w2), r1, r2, phi)._crit``, without
-    building it: the columns of each row's critical vertices."""
-    return arrays._row_cells(w1, r1.union(phi))[1], arrays._row_cells(w2, r2)[1]
-
-
 # Each draw returns (substructure, forced slot pair or None, rewritten substructure).
 _LemmaDraw = tuple[SubstructureGamma, tuple | None, SubstructureGamma]
 
@@ -404,7 +395,7 @@ def _draw_pointing(rng: random.Random) -> _LemmaDraw:
         s = 2 + _randbelow(rng, 5)
         w1 = _top_up(rng, [0] * K, s)
         w2 = _top_up(rng, [0] * K, s)
-        xs, crit2 = _critical_columns(w1, w2, r1, r2, phi)
+        xs, crit2 = arrays._occupied_columns((w1, w2), arrays._open_columns(K, r1, r2, phi))
         # cells with a non-critical vertex: more vertices than critical ones
         ys = [j for j in range(K) if w2[j] > (j in crit2)]
         choices = [(x, y) for x in xs for y in ys if x != y]
@@ -426,13 +417,12 @@ def _draw_merging(rng: random.Random) -> _LemmaDraw:
     """
     while True:
         K, r1, r2, phi = _random_lemma_base(rng)
-        need1 = [j for j in range(K) if j not in r1 and j not in phi]
-        need2 = [j for j in range(K) if j not in r2]
-        low = max(len(need1), len(need2), 1)
+        open_ = arrays._open_columns(K, r1, r2, phi)
+        low = max(len(open_[0]), len(open_[1]), 1)
         s = low + _randbelow(rng, 6 - low + 1)
-        w1 = _top_up(rng, [1 if j in need1 else 0 for j in range(K)], s)
-        w2 = _top_up(rng, [1 if j in need2 else 0 for j in range(K)], s)
-        xs, ys = _critical_columns(w1, w2, r1, r2, phi)
+        w1 = _top_up(rng, [1 if j in open_[0] else 0 for j in range(K)], s)
+        w2 = _top_up(rng, [1 if j in open_[1] else 0 for j in range(K)], s)
+        xs, ys = arrays._occupied_columns((w1, w2), open_)
         choices = [(x, y) for x in xs for y in ys if x != y]
         if choices:
             g = SubstructureGamma._unchecked((w1, w2), r1, r2, phi)

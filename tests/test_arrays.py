@@ -11,6 +11,7 @@ from mapenum.arrays import (
     SubstructureGamma,
     SubstructureOmega,
     _Cells,
+    _count_A,
     _rooted_forest,
     _stays_rooted,
     arrow_cycle,
@@ -389,25 +390,39 @@ def test_unchecked_builds_equal_the_checked_constructor(monkeypatch):
 def test_draw_critical_columns_equal_the_built_substructure(monkeypatch):
     # the pointing and merging draws reject a candidate from its critical
     # columns before building it: on every candidate of the benchmark's lemma
-    # sweep, kept or rejected, they are the built substructure's _crit
-    from mapenum import brute, verify
+    # sweep, kept or rejected, the open columns they work out and their
+    # narrowing to the critical ones are the built substructure's _open and _crit
+    import sys
 
-    seen = []
-    critical_columns = verify._critical_columns
+    from mapenum import arrays, brute, verify
 
-    def record(w1, w2, r1, r2, phi):
-        crit = critical_columns(w1, w2, r1, r2, phi)
-        seen.append(((w1, w2), r1, r2, dict(phi), crit))
+    opened, narrowed = [], []
+    open_columns, occupied_columns = arrays._open_columns, arrays._occupied_columns
+
+    # only the draws' own calls count, not those of a build's _store_cells
+    def record_open(K, r1, r2, tails):
+        cols = open_columns(K, r1, r2, tails)
+        if sys._getframe(1).f_globals is vars(verify):
+            opened.append((r1, r2, dict(tails), cols))
+        return cols
+
+    def record_narrowing(w, cols):
+        crit = occupied_columns(w, cols)
+        if sys._getframe(1).f_globals is vars(verify):
+            narrowed.append((w, cols, crit))
         return crit
 
-    monkeypatch.setattr(verify, "_critical_columns", record)
+    monkeypatch.setattr(arrays, "_open_columns", record_open)
+    monkeypatch.setattr(arrays, "_occupied_columns", record_narrowing)
     for name in ("gamma_count_brute", "gamma_count_brute_with_pair"):
         monkeypatch.setattr(brute, name, lambda *args: 0)
     verify.sweep_lemmas(300, 2)
     # 300 kept candidates for each of the two draws, and the rejected ones
-    assert len(seen) == 1649
-    for w, r1, r2, phi, crit in seen:
-        assert crit == SubstructureGamma(w, r1, r2, phi)._crit
+    assert len(opened) == len(narrowed) == 1649
+    for (r1, r2, phi, open_), (w, cols, crit) in zip(opened, narrowed):
+        assert cols is open_
+        g = SubstructureGamma(w, r1, r2, phi)
+        assert (open_, crit) == (g._open, g._crit)
 
 
 def test_is_irreducible():
@@ -455,15 +470,15 @@ def test_arrow_cycle_is_a_cycle_and_empty_only_when_acyclic(phi):
 def test_classify_all_marked():
     g = gamma_of([[2, 1], [1, 2]], {0, 1}, {0, 1})
     t = classify_columns(g)
-    assert t.A == 0
+    assert _count_A(g._crit) == 0
     assert (t.d1, t.d2) == (3, 3)
-    assert sum(t[1::2]) == sum(t[2::2]) == 3
+    assert sum(t[0::2]) == sum(t[1::2]) == 3
 
 
 def test_classify_A_and_D():
     g = gamma_of([[1, 1], [1, 1]], {1}, {1})
     t = classify_columns(g)
-    assert t.A == 1
+    assert _count_A(g._crit) == 1
     assert (t.a1, t.a2, t.d1, t.d2) == (1, 1, 1, 1)
 
 
@@ -477,7 +492,7 @@ def test_classify_arrow_decorations():
     # and an arrow into an unmarked column decorates as a-bar
     g2 = gamma_of([[1, 1, 1], [1, 1, 1]], {0}, {0}, {2: 1})
     t2 = classify_columns(g2)
-    assert t2.abar1 == 1 and t2.A == 1
+    assert t2.abar1 == 1 and _count_A(g2._crit) == 1
 
 
 def test_classify_rejects_reducible():
@@ -494,8 +509,8 @@ def test_classify_row_totals_match_s():
     for _ in range(50):
         g = random_full_irreducible(rng, max_K=5, max_s=6)
         t = classify_columns(g)
-        assert sum(t[1::2]) == g.s  # row-1 totals
-        assert sum(t[2::2]) == g.s  # row-2 totals
+        assert sum(t[0::2]) == g.s  # row-1 totals
+        assert sum(t[1::2]) == g.s  # row-2 totals
 
 
 def _is_irreducible_reference(g):
@@ -515,7 +530,6 @@ def _classify_reference(g):
         "a1", "a2", "abar1", "abar2", "atil1", "atil2", "b1", "b2",
         "c1", "c2", "cbar1", "cbar2", "ctil1", "ctil2", "d1", "d2",
     )}
-    A = 0
     plain_type = {}
     for j in range(g.K):
         if j in tails:
@@ -523,8 +537,6 @@ def _classify_reference(g):
         m1, m2 = j in g.r1, j in g.r2
         plain_type[j] = "d" if (m1 and m2) else "b" if m1 else "c" if m2 else "a"
     for j, kind in plain_type.items():
-        if kind == "a":
-            A += 1
         acc[kind + "1"] += w1[j]
         acc[kind + "2"] += w2[j]
     for t, head in phi.items():
@@ -532,7 +544,7 @@ def _classify_reference(g):
         deco = "til" if t in g.r2 else "bar"
         acc[target + deco + "1"] += w1[t]
         acc[target + deco + "2"] += w2[t]
-    return ColumnTally(A=A, **acc)
+    return ColumnTally(**acc)
 
 
 def _classify_outcome(classify, g):
@@ -543,26 +555,28 @@ def _classify_outcome(classify, g):
 
 
 def test_classify_columns_matches_the_reference_on_sweep_draws():
-    from mapenum import arrays, brute, formulas, verify
+    from mapenum import brute, formulas, verify
 
     drawn = []
-    classify = arrays.classify_columns
 
     def record(g):
         drawn.append(g)
-        return classify(g)
+        return 0
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(arrays, "classify_columns", record)
+        mp.setattr(formulas, "gamma_count_formula", record)
         mp.setattr(brute, "gamma_count_brute", lambda g: 0)
-        mp.setattr(formulas, "gamma_count_formula", lambda g: 0)
         for seed in range(3):
             verify.sweep_gamma(600, seed)
     assert len(drawn) == 1800
     assert any(g.arrows for g in drawn)
     for g in drawn:
         assert is_irreducible(g) and _is_irreducible_reference(g)
-        assert classify(g) == _classify_reference(g)
+        assert classify_columns(g) == _classify_reference(g)
+        # full: the columns whose two cells hold a critical vertex are the
+        # doubly-unmarked columns outside the arrow tails
+        unmarked = [j for j in range(g.K) if j not in g.r1 | g.r2 and j not in g.phi]
+        assert _count_A(g._crit) == len(unmarked)
 
 
 def test_small_arrow_maps_match_the_references():

@@ -273,6 +273,20 @@ def test_gamma_formula_unbalanced_full_instance():
     assert gamma_count_formula(g) == 1 == gamma_count_brute(g)
 
 
+@pytest.mark.parametrize("count, expected", [
+    (200, {"zero": 50, "edge": 56, "general": 94}),
+    (600, {"zero": 151, "edge": 176, "general": 273}),  # the benchmark's size
+])
+def test_sweep_gamma_branch_tallies_are_pinned(monkeypatch, count, expected):
+    # the sweep tallies each instance under the formula's branch, picked by A:
+    # a refactor of A or of the draws must land every instance where it did
+    from mapenum import brute, formulas, verify
+
+    monkeypatch.setattr(brute, "gamma_count_brute", lambda g: 0)
+    monkeypatch.setattr(formulas, "gamma_count_formula", lambda g: 0)
+    assert verify.sweep_gamma(count, 0) == ([], expected)
+
+
 def test_noarrows_anchors():
     for s in (1, 2, 3, 4):
         g = SubstructureGamma([[s], [s]], {0}, {0}, {})

@@ -5,7 +5,7 @@ import hashlib
 import importlib.util
 import re
 from pathlib import Path
-from types import ModuleType
+from types import FunctionType, ModuleType
 
 import pytest
 
@@ -140,16 +140,23 @@ def _names_read(tree):
     return names
 
 
+def _source_trees():
+    """The parsed modules of src/mapenum other than __init__.py."""
+    return [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in (ROOT / "src" / "mapenum").glob("*.py") if path.name != "__init__.py"]
+
+
+def _bench_text():
+    return "\n".join(path.read_text(encoding="utf-8") for path in (ROOT / "bench").glob("*.py"))
+
+
 def test_every_public_name_has_a_caller():
     # a public name that only the tests call is surface to delete, unless it
     # is a reference definition on purpose
     import mapenum
 
-    read = set()
-    for path in (ROOT / "src" / "mapenum").glob("*.py"):
-        if path.name != "__init__.py":
-            read |= _names_read(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-    bench = "\n".join(path.read_text(encoding="utf-8") for path in (ROOT / "bench").glob("*.py"))
+    read = set().union(*map(_names_read, _source_trees()))
+    bench = _bench_text()
     uncalled = [
         name
         for name in mapenum.__all__
@@ -159,6 +166,42 @@ def test_every_public_name_has_a_caller():
     ]
     assert uncalled == []
     assert [name for name in mapenum.__all__ if isinstance(getattr(mapenum, name), ModuleType)] == []
+
+
+# Public methods with no caller in src/mapenum or bench, kept as reference
+# definitions, by name.
+REFERENCE_METHODS = {
+    "eval": "the independent evaluation that the series tests compare the genus tallies against",
+    "to_json": "the spec format that from_json and the CLI read back, and that the stream pins hash",
+}
+
+
+def test_every_public_method_has_a_caller():
+    # the same guard on the public methods and properties of each re-exported
+    # class, inherited ones from this package included; dataclass and
+    # NamedTuple fields are not functions or properties, so they drop out
+    import mapenum
+
+    # a method is read as an attribute; a local variable of the same name is no caller
+    read = {node.attr for tree in _source_trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    bench = _bench_text()
+    methods = {
+        f"{value.__name__}.{attr}"
+        for value in map(mapenum.__dict__.get, mapenum.__all__) if isinstance(value, type)
+        for cls in value.__mro__ if cls.__module__.startswith("mapenum.")
+        for attr, member in vars(cls).items()
+        if not attr.startswith("_")
+        and isinstance(member, (FunctionType, classmethod, staticmethod, property))
+    }
+    assert len(methods) > 20
+    uncalled = sorted(
+        name for name in methods
+        if (attr := name.split(".")[1]) not in read
+        and attr not in REFERENCE_METHODS
+        and not re.search(rf"\.{attr}\b", bench)
+    )
+    assert uncalled == []
 
 
 def _load_script(relative):
